@@ -11,7 +11,8 @@ The .bck format::
 
 Line 1 is the fixed header, line 2 the order n, then n rows of n decimal
 entries (row x lists x*0 .. x*(n-1)); only comment or blank lines may
-follow.  Emission is deterministic and parse(emit(t)) == t.
+follow.  Numbers are ASCII ``[0-9]+`` and lines end in LF, never CRLF.
+Emission is deterministic and parse(emit(t)) == t.
 """
 
 from __future__ import annotations
@@ -31,7 +32,18 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+def parse_decimal(text: str) -> int:
+    """The value of ASCII ``[0-9]+`` text; unlike ``int()``, refuses signs,
+    underscores, blanks and non-ASCII digits with ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_bck(text: str) -> CayleyTable:
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ParseError(line, "CRLF line endings are not supported (found CR)")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # a final newline does not start a new line
@@ -40,7 +52,7 @@ def parse_bck(text: str) -> CayleyTable:
     if len(lines) < 2:
         raise ParseError(2, "missing order line")
     try:
-        n = int(lines[1])
+        n = parse_decimal(lines[1])
     except ValueError:
         raise ParseError(2, f"order is not a decimal integer: {lines[1]!r}") from None
     if n < 1:
@@ -58,7 +70,7 @@ def parse_bck(text: str) -> CayleyTable:
         row = []
         for y, part in enumerate(parts):
             try:
-                v = int(part)
+                v = parse_decimal(part)
             except ValueError:
                 raise ParseError(
                     line_no, f"non-numeric entry {part!r} at row {x + 1}"

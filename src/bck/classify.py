@@ -22,10 +22,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
+from math import isqrt
 
 from .construct import m_chain
-from .core import BckAlgebra, CayleyTable, validate
+from .core import BckAlgebra, CayleyTable, _first_violation, validate
 
 DEFAULT_ENUM_BUDGET = 6
 _CANONICAL_ORDER_LIMIT = 10
@@ -48,23 +50,18 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     return CayleyTable(tuple(tuple(row) for row in rows))
 
 
-_PERM_CACHE: dict[int, tuple[tuple[Flat, Flat], ...]] = {}
-
-
+@cache
 def _perms_fixing_zero(n: int) -> tuple[tuple[Flat, Flat], ...]:
     """All (sigma, rows-of-sigma-inverse) pairs with sigma(0) = 0."""
-    cached = _PERM_CACHE.get(n)
-    if cached is None:
-        pairs = []
-        for tail in permutations(range(1, n)):
-            sigma = (0,) + tail
-            inverse = [0] * n
-            for i, image in enumerate(sigma):
-                inverse[image] = i
-            inv_rows = tuple(i * n for i in inverse)
-            pairs.append((sigma, inv_rows + tuple(inverse)))
-        cached = _PERM_CACHE[n] = tuple(pairs)
-    return cached
+    pairs = []
+    for tail in permutations(range(1, n)):
+        sigma = (0,) + tail
+        inverse = [0] * n
+        for i, image in enumerate(sigma):
+            inverse[image] = i
+        inv_rows = tuple(i * n for i in inverse)
+        pairs.append((sigma, inv_rows + tuple(inverse)))
+    return tuple(pairs)
 
 
 def _canonical_flat(flat: Flat, n: int) -> Flat:
@@ -185,27 +182,6 @@ def is_isomorphic(a: BckAlgebra, b: BckAlgebra) -> bool:
 # --- enumeration -----------------------------------------------------------
 
 
-def _flat_valid(t: list[list[int]], n: int) -> bool:
-    """Full axiom check on a completed working table (no witness needed)."""
-    for x in range(n):
-        for y in range(x + 1, n):
-            if t[x][y] == 0 and t[y][x] == 0:
-                return False
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            if t[tx[tx[y]]][y] != 0:
-                return False
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ta = t[tx[y]]
-            for z in range(n):
-                if t[ta[tx[z]]][t[z][y]] != 0:
-                    return False
-    return True
-
-
 def _partial_ok(t: list[list[int]], n: int, x: int, y: int) -> bool:
     """Check axiom instances touching cell (x, y) that are fully determined.
 
@@ -273,10 +249,6 @@ def _extensions(base: Flat, m: int) -> list[Flat]:
     t[0][e] = 0
     t[e][0] = e
     t[e][e] = 0
-    if m == 1:
-        flat = tuple(v for row in t for v in row)
-        return [flat] if _flat_valid(t, n) else []
-
     col_candidates = {
         x: [u for u in range(m) if base[u * m + x] == 0] + [e]
         for x in range(1, m)
@@ -286,7 +258,7 @@ def _extensions(base: Flat, m: int) -> list[Flat]:
 
     def fill(k: int) -> None:
         if k == len(cells):
-            if _flat_valid(t, n):
+            if _first_violation(t) is None:
                 found.append(tuple(v for row in t for v in row))
             return
         x, y = cells[k]
@@ -313,28 +285,34 @@ def _extend_and_canonicalize(args: tuple[tuple[Flat, ...], int]) -> set[Flat]:
     return out
 
 
+def _extend_level(bases: tuple[Flat, ...], jobs: int) -> tuple[Flat, ...]:
+    """Canonical flats of all one-element extensions of ``bases``, sorted.
+
+    The bases are sharded over ``jobs`` worker processes when there are at
+    least two per worker; the sorted result does not depend on ``jobs``.
+    """
+    m = isqrt(len(bases[0]))
+    if jobs > 1 and len(bases) >= 2 * jobs:
+        chunks = [(bases[i::jobs], m) for i in range(jobs)]
+        merged: set[Flat] = set()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for part in pool.map(_extend_and_canonicalize, chunks):
+                merged |= part
+    else:
+        merged = _extend_and_canonicalize((bases, m))
+    return tuple(sorted(merged))
+
+
+# Keyed by order alone: a level is the same whatever ``jobs`` built it.
 _LEVEL_CACHE: dict[int, tuple[Flat, ...]] = {1: ((0,),)}
 
 
 def _level(n: int, jobs: int = 1) -> tuple[Flat, ...]:
     """Canonical flats of all isomorphism classes of order n, sorted."""
     cached = _LEVEL_CACHE.get(n)
-    if cached is not None:
-        return cached
-    bases = _level(n - 1, jobs)
-    if jobs > 1 and len(bases) >= 2 * jobs:
-        chunks = [
-            (bases[i::jobs], n - 1) for i in range(jobs)
-        ]
-        merged: set[Flat] = set()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_extend_and_canonicalize, chunks):
-                merged |= part
-    else:
-        merged = _extend_and_canonicalize((bases, n - 1))
-    result = tuple(sorted(merged))
-    _LEVEL_CACHE[n] = result
-    return result
+    if cached is None:
+        cached = _LEVEL_CACHE[n] = _extend_level(_level(n - 1, jobs), jobs)
+    return cached
 
 
 def enumerate_algebras(
@@ -383,7 +361,6 @@ class UniqueMinimumReport:
 
     order: int
     degree: Fraction
-    class_count: int
     representative: BckAlgebra
     witness: tuple[int, ...]
 
@@ -414,7 +391,7 @@ def verify_unique_minimum(n: int, budget: int | None = None) -> UniqueMinimumRep
             f"order-{n} minimum-degree representative is not isomorphic to "
             f"the chain algebra"
         )
-    return UniqueMinimumReport(n, degree, 1, representative, witness)
+    return UniqueMinimumReport(n, degree, representative, witness)
 
 
 def subalgebra(algebra: BckAlgebra, elements: tuple[int, ...]) -> BckAlgebra:

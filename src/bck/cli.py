@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import classify
-from .bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck
+from .bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck, parse_decimal
 from .construct import (
     ExprParseError,
     b_star,
@@ -119,7 +119,7 @@ def cmd_synth(args) -> int:
     if len(parts) != 2:
         raise ValueError(f"expected P/Q, got {args.fraction!r}")
     try:
-        p, q = int(parts[0]), int(parts[1])
+        p, q = parse_decimal(parts[0]), parse_decimal(parts[1])
     except ValueError:
         raise ValueError(f"expected integers in P/Q, got {args.fraction!r}") from None
     result = synthesize(p, q)
@@ -140,7 +140,15 @@ def cmd_synth(args) -> int:
 
 def _enum_budget() -> int | None:
     value = os.environ.get("BCK_ENUM_BUDGET")
-    return int(value) if value else None
+    if not value:
+        return None
+    try:
+        budget = parse_decimal(value)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"BCK_ENUM_BUDGET must be a positive integer, got {value!r}")
+    return budget
 
 
 def _flags(algebra: BckAlgebra) -> str:

@@ -15,6 +15,8 @@ order, and the synthesizer hit any target rational exactly.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +35,8 @@ LEAF_NAMES = ("2", "PI", "TC")
 OP_EXTEND = "+T"
 OP_UNION2 = "+2"
 
-_PRETTY = {OP_EXTEND: "⊕⊤", OP_UNION2: "⊔2"}  # ⊕⊤ / ⊔2
+_PLAIN = {OP_EXTEND: OP_EXTEND, OP_UNION2: OP_UNION2}
+_PRETTY = {OP_EXTEND: "⊕⊤", OP_UNION2: "⊔2"}
 
 
 class ExprParseError(ValueError):
@@ -79,72 +82,65 @@ class ConstructionExpr:
     @property
     def order(self) -> int:
         """Order of the algebra the expression evaluates to."""
-        if self.base is None:
-            return 2 if self.head == "2" else 3
-        return self.base.order + 1
+        leaf, ops = self._spine()
+        return (2 if leaf == "2" else 3) + len(ops)
+
+    def _spine(self) -> tuple[str, list[str]]:
+        """The leaf name and the operators applied to it, innermost first."""
+        ops = []
+        node = self
+        while node.base is not None:
+            ops.append(node.head)
+            node = node.base
+        ops.reverse()
+        return node.head, ops
+
+    def _algebras(self) -> Iterator[BckAlgebra]:
+        """Algebras along the construction, leaf first, built one at a time."""
+        leaf, ops = self._spine()
+        algebra = standard_algebras()[leaf]
+        yield algebra
+        for op in ops:
+            algebra = extend_top(algebra) if op == OP_EXTEND else union(algebra, TWO)
+            yield algebra
 
     def evaluate(self) -> BckAlgebra:
-        if self.base is None:
-            return standard_algebras()[self.head]
-        inner = self.base.evaluate()
-        if self.head == OP_EXTEND:
-            return extend_top(inner)
-        return union(inner, TWO)
+        for algebra in self._algebras():
+            pass  # keep only the last algebra alive
+        return algebra
 
     def steps(self) -> list[BckAlgebra]:
         """Algebras along the construction, leaf first."""
-        if self.base is None:
-            return [self.evaluate()]
-        chain = self.base.steps()
-        inner = chain[-1]
-        if self.head == OP_EXTEND:
-            chain.append(extend_top(inner))
-        else:
-            chain.append(union(inner, TWO))
-        return chain
+        return list(self._algebras())
+
+    def _render(self, spelling: dict[str, str]) -> str:
+        leaf, ops = self._spine()  # e.g. "((" + "PI" + "+T)+2)+T"
+        return "(" * (len(ops) - 1) + leaf + ")".join(spelling[op] for op in ops)
 
     def __str__(self) -> str:
-        if self.base is None:
-            return self.head
-        inner = str(self.base)
-        if self.base.base is not None:
-            inner = f"({inner})"
-        return f"{inner}{self.head}"
+        return self._render(_PLAIN)
 
     def pretty(self) -> str:
         """Unicode rendering, e.g. ``(PI⊕⊤)⊔2``."""
-        if self.base is None:
-            return self.head
-        inner = self.base.pretty()
-        if self.base.base is not None:
-            inner = f"({inner})"
-        return f"{inner}{_PRETTY[self.head]}"
+        return self._render(_PRETTY)
+
+
+# no token is a prefix of another, so alternation order does not matter
+_TOKEN = re.compile(
+    "(" + "|".join(map(re.escape, (OP_EXTEND, OP_UNION2, *LEAF_NAMES, "(", ")")))
+    + r")|(\S)"
+)
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif text.startswith(OP_EXTEND, i) or text.startswith(OP_UNION2, i):
-            tokens.append(text[i : i + 2])
-            i += 2
-        elif text.startswith("PI", i):
-            tokens.append("PI")
-            i += 2
-        elif text.startswith("TC", i):
-            tokens.append("TC")
-            i += 2
-        elif ch == "2":
-            tokens.append("2")
-            i += 1
-        else:
-            raise ExprParseError(f"unexpected character {ch!r} at position {i}")
+    for match in _TOKEN.finditer(text):  # whitespace matches neither group
+        token, stray = match.groups()
+        if stray is not None:
+            raise ExprParseError(
+                f"unexpected character {stray!r} at position {match.start()}"
+            )
+        tokens.append(token)
     return tokens
 
 
@@ -315,23 +311,26 @@ class FamilyLevel:
         return len(self.entries)
 
 
+# The family's base levels, in increasing degree order; every later level
+# is derived from the order-4 one by _next_level.
+_BASE_SCHEDULE = {
+    3: (ConstructionExpr.leaf("PI"),),
+    4: (
+        ConstructionExpr.leaf("PI").extend_top(),
+        ConstructionExpr.leaf("TC").extend_top(),
+        ConstructionExpr.leaf("PI").union2(),
+    ),
+}
+
+
 def _entry(expression: ConstructionExpr, algebra: BckAlgebra) -> FamilyEntry:
     return FamilyEntry(expression, algebra, algebra.commuting_report())
 
 
-def _base_level_3() -> FamilyLevel:
-    return FamilyLevel(3, (_entry(ConstructionExpr.leaf("PI"), PI),))
-
-
-def _base_level_4() -> FamilyLevel:
-    pi_expr = ConstructionExpr.leaf("PI")
-    tc_expr = ConstructionExpr.leaf("TC")
-    entries = (
-        _entry(pi_expr.extend_top(), extend_top(PI)),
-        _entry(tc_expr.extend_top(), extend_top(TC)),
-        _entry(pi_expr.union2(), union(PI, TWO)),
+def _base_level(order: int) -> FamilyLevel:
+    return FamilyLevel(
+        order, tuple(_entry(e, e.evaluate()) for e in _BASE_SCHEDULE[order])
     )
-    return FamilyLevel(4, entries)
 
 
 def _next_level(level: FamilyLevel) -> FamilyLevel:
@@ -358,9 +357,7 @@ def family(n: int) -> FamilyLevel:
     """Constructions realizing every achievable degree at order n, in order."""
     if n < 3:
         raise ValueError("family levels start at order 3")
-    if n == 3:
-        return _base_level_3()
-    level = _base_level_4()
+    level = _base_level(min(n, 4))
     while level.order < n:
         level = _next_level(level)
     return level
@@ -371,8 +368,8 @@ def trace_family_index(n: int, j: int) -> ConstructionExpr:
 
     Walks the level schedule backward: at a level built from t = T(m-2)
     predecessors, index i came from predecessor i via +T when i <= t, else
-    from predecessor t-(m-1)+(i-t) via +2.  Terminates at the order-4 base
-    [PI+T, TC+T, PI+2] or the order-3 singleton [PI].
+    from predecessor t-(m-1)+(i-t) via +2.  Terminates at a base level of
+    ``_BASE_SCHEDULE``.
     """
     if n < 3:
         raise ValueError("family levels start at order 3")
@@ -389,15 +386,7 @@ def trace_family_index(n: int, j: int) -> ConstructionExpr:
             ops.append(OP_UNION2)
             j -= m - 1  # predecessor t-(m-1)+(j-t)
         level -= 1
-    if level == 3:
-        expr = ConstructionExpr.leaf("PI")
-    else:
-        base4 = {
-            1: ConstructionExpr.leaf("PI").extend_top(),
-            2: ConstructionExpr.leaf("TC").extend_top(),
-            3: ConstructionExpr.leaf("PI").union2(),
-        }
-        expr = base4[j]
+    expr = _BASE_SCHEDULE[level][j - 1]
     for op in reversed(ops):
         expr = ConstructionExpr(op, expr)
     return expr

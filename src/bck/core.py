@@ -50,14 +50,15 @@ class AxiomViolation(ValueError):
 class CayleyTable:
     """Raw n-by-n operation table over elements 0..n-1; rows[x][y] = x*y.
 
-    Construction enforces only the format invariants (square shape,
-    entries in range); the BCK axioms are checked by :func:`validate`.
+    Construction enforces only the format invariants (square shape, entries
+    of type ``int`` and in range; no coercion); the BCK axioms are checked
+    by :func:`validate`.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
         n = len(rows)
         if n == 0:
             raise FormatError("table must have at least one row")
@@ -65,6 +66,8 @@ class CayleyTable:
             if len(row) != n:
                 raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
             for y, v in enumerate(row):
+                if type(v) is not int:
+                    raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
                 if not 0 <= v < n:
                     raise FormatError(
                         f"entry {v} at ({x},{y}) out of range 0..{n - 1}"
@@ -90,31 +93,39 @@ def find_violation(table: CayleyTable) -> AxiomViolation | None:
     ascending element order, so the reported witness is deterministic and
     lexicographically least for the first failing axiom.
     """
-    t = table.rows
-    n = table.order
+    found = _first_violation(table.rows)
+    return None if found is None else AxiomViolation(*found)
+
+
+def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
+    """The axiom check of :func:`find_violation` on raw rows (any n-by-n
+    sequence of sequences), returning ``(axiom, witness)`` or None."""
+    n = len(t)
     for x in range(n):
         if t[x][x] != 0:
-            return AxiomViolation("BCK3", (x,))
+            return "BCK3", (x,)
     for x in range(n):
         if t[0][x] != 0:
-            return AxiomViolation("BCK4", (x,))
+            return "BCK4", (x,)
     for x in range(n):
         if t[x][0] != x:
-            return AxiomViolation("x*0=x", (x,))
+            return "x*0=x", (x,)
     for x in range(n):
         for y in range(x + 1, n):
             if t[x][y] == 0 and t[y][x] == 0:
-                return AxiomViolation("BCK5", (x, y))
+                return "BCK5", (x, y)
     for x in range(n):
+        tx = t[x]
         for y in range(n):
-            if t[t[x][t[x][y]]][y] != 0:
-                return AxiomViolation("BCK2", (x, y))
+            if t[tx[tx[y]]][y] != 0:
+                return "BCK2", (x, y)
     for x in range(n):
+        tx = t[x]
         for y in range(n):
-            a = t[x][y]
+            ta = t[tx[y]]
             for z in range(n):
-                if t[t[a][t[x][z]]][t[z][y]] != 0:
-                    return AxiomViolation("BCK1", (x, y, z))
+                if t[ta[tx[z]]][t[z][y]] != 0:
+                    return "BCK1", (x, y, z)
     return None
 
 

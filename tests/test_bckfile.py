@@ -43,6 +43,10 @@ def test_parse_accepts_trailing_blank_and_comment_lines():
         ("bck 1\n2\n0 0\n1 x\n", 4, "non-numeric"),
         ("bck 1\n2\n0 0\n1 5\n", 4, "out of range"),
         ("bck 1\n2\n0 0\n1 0\njunk\n", 5, "unexpected content"),
+        ("bck 1\n+1\n0\n", 2, "decimal"),
+        ("bck 1\n1_0\n", 2, "decimal"),
+        ("bck 1\n2\n0 0\n\u0661 0\n", 4, "non-numeric"),
+        ("bck 1\r\n2\r\n0 0\r\n1 0\r\n", 1, "CRLF"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

@@ -171,9 +171,11 @@ def test_synth_degree_one(capsys):
 
 
 def test_synth_rejects_malformed_fractions(capsys):
-    for bad in ("2", "2/5/7", "a/b", "3/2"):
+    for bad in ("2", "2/5/7", "a/b", "3/2", "+2/5"):
         code, _, err = run(capsys, "synth", bad)
         assert code == 1 and err.startswith("error:")
+    # a signed numeral is named as malformed, not read as 2/5
+    assert "'+2/5'" in err
 
 
 def test_enum_counts(capsys):
@@ -197,6 +199,11 @@ def test_enum_budget_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "enum", "5", "--count-only")
     assert code == 1
     assert "budget" in err
+    for bad in ("abc", "0", "-1"):
+        monkeypatch.setenv("BCK_ENUM_BUDGET", bad)
+        code, out, err = run(capsys, "enum", "3", "--count-only")
+        assert (code, out) == (1, "")
+        assert f"BCK_ENUM_BUDGET must be a positive integer, got {bad!r}" in err
 
 
 def test_enum_catalog_directory(tmp_path, capsys):

@@ -39,6 +39,12 @@ def test_rejects_out_of_range_entry():
         CayleyTable(((0, 2), (1, 0)))
 
 
+@pytest.mark.parametrize("value", [1.9, True])
+def test_rejects_entries_that_are_not_ints(value):
+    with pytest.raises(FormatError, match=r"\(1,0\)"):
+        CayleyTable(((0, 0), (value, 0)))
+
+
 def test_rejects_empty_table():
     with pytest.raises(FormatError):
         CayleyTable(())
