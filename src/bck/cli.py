@@ -20,7 +20,6 @@ from .construct import (
     ExprParseError,
     b_star,
     cd_numerators,
-    cd_set,
     extend_top,
     family,
     m_chain,
@@ -47,9 +46,10 @@ def _write_algebra(algebra: BckAlgebra, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _degree_line(report) -> str:
-    degree = report.degree
-    return f"{report.raw} = {degree.numerator}/{degree.denominator}"
+def _degree_line(k: int, n: int, sep: str = " = ") -> str:
+    """k commuting pairs at order n as a degree, e.g. ``14/16 = 7/8``."""
+    degree = Fraction(k, n * n)
+    return f"{k}/{n * n}{sep}{degree.numerator}/{degree.denominator}"
 
 
 def cmd_verify(args) -> int:
@@ -62,7 +62,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cd(args) -> int:
-    print(_degree_line(_read_algebra(args.file).commuting_report()))
+    report = _read_algebra(args.file).commuting_report()
+    print(_degree_line(report.pair_count, report.order))
     return 0
 
 
@@ -100,7 +101,7 @@ def cmd_op_union(args) -> int:
 
 def cmd_family(args) -> int:
     for entry in family(args.n).entries:
-        line = _degree_line(entry.report)
+        line = _degree_line(entry.report.pair_count, args.n)
         if args.exprs:
             line = f"{entry.expression}  {line}"
         print(line)
@@ -108,9 +109,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_cdset(args) -> int:
-    nn = args.n * args.n
-    for k, degree in zip(cd_numerators(args.n), cd_set(args.n)):
-        print(f"{k}/{nn} = {degree.numerator}/{degree.denominator}")
+    for k in cd_numerators(args.n):
+        print(_degree_line(k, args.n))
     return 0
 
 
@@ -132,7 +132,7 @@ def cmd_synth(args) -> int:
     print(f"k: {result.pair_count}")
     print(f"index: {result.index if result.index is not None else '-'}")
     print(f"expression: {result.expression}")
-    print(_degree_line(result.algebra.commuting_report()))
+    print(_degree_line(result.algebra.commuting_report().pair_count, result.order))
     if args.output is not None:
         _write_algebra(result.algebra, args.output)
     return 0
@@ -177,18 +177,14 @@ def cmd_enum(args) -> int:
         for i, algebra in enumerate(algebras, start=1):
             name = f"{i:0{width}d}"
             (directory / f"{name}.bck").write_text(emit_bck(algebra.table))
-            report = algebra.commuting_report()
-            degree = report.degree
-            manifest.append(
-                f"{name}\t{report.raw}\t{degree.numerator}/{degree.denominator}"
-                f"\t{_flags(algebra)}"
-            )
+            degree = _degree_line(algebra.commuting_report().pair_count, args.n, "\t")
+            manifest.append(f"{name}\t{degree}\t{_flags(algebra)}")
         (directory / "manifest.tsv").write_text("\n".join(manifest) + "\n")
         print(f"wrote {len(algebras)} classes to {directory}")
         return 0
     for i, algebra in enumerate(algebras, start=1):
-        report = algebra.commuting_report()
-        print(f"{i:04d}  {_degree_line(report)}  {_flags(algebra)}")
+        degree = _degree_line(algebra.commuting_report().pair_count, args.n)
+        print(f"{i:04d}  {degree}  {_flags(algebra)}")
     return 0
 
 
@@ -197,7 +193,7 @@ def cmd_census(args) -> int:
     nn = args.n * args.n
     for degree in sorted(census):
         k = degree.numerator * (nn // degree.denominator)
-        print(f"{k}/{nn} = {degree.numerator}/{degree.denominator}: {census[degree]}")
+        print(f"{_degree_line(k, args.n)}: {census[degree]}")
     return 0
 
 

@@ -11,19 +11,22 @@ Both shift the commuting-pair count by a fixed amount (add 2n+1 for a
 union with the order-2 algebra, add 3 for a top extension), which is what
 lets the family generator cover every achievable commuting degree at each
 order, and the synthesizer hit any target rational exactly.
+
+A ``+T``/``+2`` expression is built in one pass: each operator adjoins one
+element, so the algebra of order m along the way is the subalgebra on
+labels 0..m-1 of the final table.  The BCK axioms are universal (quasi-)identities,
+which every subalgebra inherits, so checking the final table in full checks
+every intermediate algebra too.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    PI,
     TC,
-    TWO,
     BckAlgebra,
     CayleyTable,
     CommutingReport,
@@ -43,7 +46,16 @@ class ExprParseError(ValueError):
     """A construction-expression string does not match the grammar."""
 
 
-@dataclass(frozen=True)
+def _adjoin(rows: list[list[int]], op: str) -> None:
+    """Adjoin element m = len(rows) in place: row (m, .., m, 0), and x*m is
+    0 under ``+T`` (m is the new top) or x under ``+2`` (m is a new atom)."""
+    m = len(rows)
+    for x, row in enumerate(rows):
+        row.append(0 if op == OP_EXTEND else x)
+    rows.append([m] * m + [0])
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class ConstructionExpr:
     """Expression tree recording how an algebra was built.
 
@@ -53,7 +65,8 @@ class ConstructionExpr:
 
         expr := "2" | "PI" | "TC" | "(" expr "+T" ")" | "(" expr "+2" ")"
 
-    with whitespace insignificant.
+    with whitespace insignificant.  Equality, hashing and ``repr`` go
+    through the spine, so none of them recurses on deep expressions.
     """
 
     head: str
@@ -85,33 +98,46 @@ class ConstructionExpr:
         leaf, ops = self._spine()
         return (2 if leaf == "2" else 3) + len(ops)
 
-    def _spine(self) -> tuple[str, list[str]]:
+    def _spine(self) -> tuple[str, tuple[str, ...]]:
         """The leaf name and the operators applied to it, innermost first."""
         ops = []
         node = self
         while node.base is not None:
             ops.append(node.head)
             node = node.base
-        ops.reverse()
-        return node.head, ops
+        return node.head, tuple(reversed(ops))
 
-    def _algebras(self) -> Iterator[BckAlgebra]:
-        """Algebras along the construction, leaf first, built one at a time."""
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConstructionExpr):
+            return NotImplemented
+        return self._spine() == other._spine()
+
+    def __hash__(self) -> int:
+        return hash(self._spine())
+
+    def _rows(self) -> list[list[int]]:
+        """The final table, built in one pass from the leaf's rows."""
         leaf, ops = self._spine()
-        algebra = standard_algebras()[leaf]
-        yield algebra
+        rows = [list(row) for row in standard_algebras()[leaf].table.rows]
         for op in ops:
-            algebra = extend_top(algebra) if op == OP_EXTEND else union(algebra, TWO)
-            yield algebra
+            _adjoin(rows, op)
+        return rows
 
     def evaluate(self) -> BckAlgebra:
-        for algebra in self._algebras():
-            pass  # keep only the last algebra alive
-        return algebra
+        return validate(CayleyTable(self._rows()))
 
     def steps(self) -> list[BckAlgebra]:
-        """Algebras along the construction, leaf first."""
-        return list(self._algebras())
+        """Algebras along the construction, leaf first.
+
+        Each is the leading block of the final table (see the module
+        docstring), checked on its own.
+        """
+        leaf = standard_algebras()[self._spine()[0]]
+        rows = self._rows()
+        return [leaf] + [
+            validate(CayleyTable([row[:m] for row in rows[:m]]))
+            for m in range(leaf.order + 1, len(rows) + 1)
+        ]
 
     def _render(self, spelling: dict[str, str]) -> str:
         leaf, ops = self._spine()  # e.g. "((" + "PI" + "+T)+2)+T"
@@ -123,6 +149,9 @@ class ConstructionExpr:
     def pretty(self) -> str:
         """Unicode rendering, e.g. ``(PI⊕⊤)⊔2``."""
         return self._render(_PRETTY)
+
+    def __repr__(self) -> str:
+        return f"parse_expr({self._render(_PLAIN)!r})"
 
 
 # no token is a prefix of another, so alternation order does not matter
@@ -151,35 +180,27 @@ def parse_expr(text: str) -> ConstructionExpr:
     trailing operator (the style used for printing, e.g. ``(PI+T)+2``);
     the Unicode forms ⊕⊤ / ⊔2 are also recognized.
     """
-    normalized = text.replace("⊕⊤", OP_EXTEND).replace(
-        "⊔2", OP_UNION2
-    )
-    tokens = _tokenize(normalized)
-    pos = 0
-
-    def parse_node() -> ConstructionExpr:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ExprParseError("unexpected end of input")
-        tok = tokens[pos]
-        if tok in LEAF_NAMES:
+    tokens = _tokenize(text.replace("⊕⊤", OP_EXTEND).replace("⊔2", OP_UNION2))
+    # expr is "(" * depth, a leaf, then per level: operators and a ")",
+    # except that the outermost level has operators only
+    depth = 0
+    while depth < len(tokens) and tokens[depth] == "(":
+        depth += 1
+    if depth == len(tokens):
+        raise ExprParseError("unexpected end of input")
+    if tokens[depth] not in LEAF_NAMES:
+        raise ExprParseError(f"unexpected token {tokens[depth]!r}")
+    expr = ConstructionExpr.leaf(tokens[depth])
+    pos = depth + 1
+    for level in range(depth, -1, -1):
+        while pos < len(tokens) and tokens[pos] in (OP_EXTEND, OP_UNION2):
+            expr = ConstructionExpr(tokens[pos], expr)
             pos += 1
-            expr = ConstructionExpr.leaf(tok)
-        elif tok == "(":
-            pos += 1
-            expr = parse_node()
+        if level:
             if pos >= len(tokens) or tokens[pos] != ")":
                 found = tokens[pos] if pos < len(tokens) else "end of input"
                 raise ExprParseError(f"expected ')', found {found!r}")
             pos += 1
-        else:
-            raise ExprParseError(f"unexpected token {tok!r}")
-        while pos < len(tokens) and tokens[pos] in (OP_EXTEND, OP_UNION2):
-            expr = ConstructionExpr(tokens[pos], expr)
-            pos += 1
-        return expr
-
-    expr = parse_node()
     if pos != len(tokens):
         raise ExprParseError(f"trailing tokens after expression: {tokens[pos:]}")
     return expr
@@ -194,29 +215,22 @@ def union(*parts: BckAlgebra) -> BckAlgebra:
     """
     if not parts:
         raise ValueError("union requires at least one algebra")
-    n = 1 + sum(p.order - 1 for p in parts)
-    # global label -> (component index, local element); 0 belongs to all
-    owner: list[tuple[int, int]] = [(-1, 0)]
-    for idx, part in enumerate(parts):
-        for local in range(1, part.order):
-            owner.append((idx, local))
+    # global label -> (component index, local element); the shared 0 is
+    # counted in the first part, whose labels are kept
+    owner = [(0, 0)] + [
+        (idx, local) for idx, part in enumerate(parts) for local in range(1, part.order)
+    ]
     rows = []
-    for a in range(n):
-        pa, la = owner[a]
+    for a, (pa, la) in enumerate(owner):
         row = []
-        for b in range(n):
-            pb, lb = owner[b]
-            if a == 0:
-                row.append(0)
-            elif b == 0:
-                row.append(a)
-            elif pa == pb:
+        for pb, lb in owner:
+            if pa == pb:
                 local = parts[pa].op(la, lb)
                 row.append(0 if local == 0 else a - la + local)
             else:
                 row.append(a)
-        rows.append(tuple(row))
-    return validate(CayleyTable(tuple(rows)))
+        rows.append(row)
+    return validate(CayleyTable(rows))
 
 
 def extend_top(algebra: BckAlgebra) -> BckAlgebra:
@@ -226,10 +240,9 @@ def extend_top(algebra: BckAlgebra) -> BckAlgebra:
     the original algebra sits inside as the subalgebra on labels 0..n-1.
     The result is always bounded and, for base order >= 2, non-commutative.
     """
-    n = algebra.order
-    rows = [row + (0,) for row in algebra.table.rows]
-    rows.append(tuple([n] * n + [0]))
-    return validate(CayleyTable(tuple(rows)))
+    rows = [list(row) for row in algebra.table.rows]
+    _adjoin(rows, OP_EXTEND)
+    return validate(CayleyTable(rows))
 
 
 def predict_union2_degree(report: CommutingReport) -> Fraction:
@@ -266,10 +279,10 @@ def b_star(n: int) -> BckAlgebra:
     """
     if n < 3:
         raise ValueError("b_star requires order >= 3")
-    algebra = PI
+    expression = ConstructionExpr.leaf("PI")
     for _ in range(n - 3):
-        algebra = union(algebra, TWO)
-    return algebra
+        expression = expression.union2()
+    return expression.evaluate()
 
 
 def triangular(m: int) -> int:
@@ -312,7 +325,7 @@ class FamilyLevel:
 
 
 # The family's base levels, in increasing degree order; every later level
-# is derived from the order-4 one by _next_level.
+# is derived from the order-4 one by the induction step in family().
 _BASE_SCHEDULE = {
     3: (ConstructionExpr.leaf("PI"),),
     4: (
@@ -323,44 +336,26 @@ _BASE_SCHEDULE = {
 }
 
 
-def _entry(expression: ConstructionExpr, algebra: BckAlgebra) -> FamilyEntry:
-    return FamilyEntry(expression, algebra, algebra.commuting_report())
-
-
-def _base_level(order: int) -> FamilyLevel:
-    return FamilyLevel(
-        order, tuple(_entry(e, e.evaluate()) for e in _BASE_SCHEDULE[order])
-    )
-
-
-def _next_level(level: FamilyLevel) -> FamilyLevel:
-    """One induction step: extend everything, union the last m-1 entries.
-
-    With t entries at order m, entries 1..t of the next level are the
-    predecessors under +T and entries t+1..t+(m-1) are predecessors
-    t-(m-2)..t under +2; the degrees come out in increasing order again.
-    """
-    m = level.order
-    t = len(level.entries)
-    extended = [
-        _entry(e.expression.extend_top(), extend_top(e.algebra))
-        for e in level.entries
-    ]
-    unioned = [
-        _entry(e.expression.union2(), union(e.algebra, TWO))
-        for e in level.entries[t - (m - 1) :]
-    ]
-    return FamilyLevel(m + 1, tuple(extended + unioned))
-
-
 def family(n: int) -> FamilyLevel:
-    """Constructions realizing every achievable degree at order n, in order."""
+    """Constructions realizing every achievable degree at order n, in order.
+
+    The induction runs on expressions: with t entries at order m, entries
+    1..t of the next level are the predecessors under +T and entries
+    t+1..t+(m-1) are predecessors t-(m-2)..t under +2; the degrees come out
+    in increasing order again.  Only the order-n algebras are built.
+    """
     if n < 3:
         raise ValueError("family levels start at order 3")
-    level = _base_level(min(n, 4))
-    while level.order < n:
-        level = _next_level(level)
-    return level
+    expressions = _BASE_SCHEDULE[min(n, 4)]
+    for m in range(4, n):
+        expressions = tuple(e.extend_top() for e in expressions) + tuple(
+            e.union2() for e in expressions[len(expressions) - (m - 1) :]
+        )
+    entries = []
+    for expression in expressions:
+        algebra = expression.evaluate()
+        entries.append(FamilyEntry(expression, algebra, algebra.commuting_report()))
+    return FamilyLevel(n, tuple(entries))
 
 
 def trace_family_index(n: int, j: int) -> ConstructionExpr:

@@ -154,7 +154,9 @@ class BckAlgebra:
     """An axiom-validated Cayley table; the central value type.
 
     Constructing one runs the full axiom check, so every instance in the
-    system is valid by construction.
+    system is valid by construction.  A ``+T``/``+2`` construction checks
+    only the algebra it returns: the smaller ones along the way are its
+    subalgebras on labels 0..m-1, valid whenever it is (see ``construct``).
     """
 
     table: CayleyTable

@@ -206,6 +206,27 @@ def test_enum_budget_env_override(capsys, monkeypatch):
         assert f"BCK_ENUM_BUDGET must be a positive integer, got {bad!r}" in err
 
 
+# the manifest of `bck enum 4 -o DIR`, recorded before its degree text
+# was shared with the other subcommands
+ENUM_4_MANIFEST = (
+    "index\traw\tdegree\tflags\n"
+    "0001\t14/16\t7/8\tbounded\n"
+    "0002\t16/16\t1/1\tcommutative,bounded\n"
+    "0003\t12/16\t3/4\tbounded\n"
+    "0004\t16/16\t1/1\tcommutative\n"
+    "0005\t12/16\t3/4\t-\n"
+    "0006\t14/16\t7/8\tbounded\n"
+    "0007\t12/16\t3/4\tbounded\n"
+    "0008\t10/16\t5/8\tbounded,positive-implicative\n"
+    "0009\t12/16\t3/4\tpositive-implicative\n"
+    "0010\t16/16\t1/1\tcommutative\n"
+    "0011\t12/16\t3/4\tbounded,positive-implicative\n"
+    "0012\t14/16\t7/8\tpositive-implicative\n"
+    "0013\t16/16\t1/1\tcommutative,bounded,positive-implicative\n"
+    "0014\t16/16\t1/1\tcommutative,positive-implicative\n"
+)
+
+
 def test_enum_catalog_directory(tmp_path, capsys):
     directory = tmp_path / "catalog"
     code, out, _ = run(capsys, "enum", "4", "-o", str(directory))
@@ -220,6 +241,7 @@ def test_enum_catalog_directory(tmp_path, capsys):
     assert manifest[0] == "index\traw\tdegree\tflags"
     assert len(manifest) == 15
     assert manifest[1].startswith("0001\t")
+    assert (directory / "manifest.tsv").read_text() == ENUM_4_MANIFEST
 
 
 def test_census_table(capsys):

@@ -1,10 +1,11 @@
 """Unions, top extensions, extremal families, degree schedules, synthesis."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from bck import classify
+from bck import classify, core
 from bck.construct import (
     ConstructionExpr,
     ExprParseError,
@@ -22,7 +23,15 @@ from bck.construct import (
     triangular,
     union,
 )
-from bck.core import PI, TC, TWO, CayleyTable, find_violation, validate
+from bck.core import (
+    PI,
+    TC,
+    TWO,
+    CayleyTable,
+    find_violation,
+    standard_algebras,
+    validate,
+)
 
 import oracle
 
@@ -296,10 +305,74 @@ def test_expression_accepts_fully_parenthesized_form():
     assert parse_expr(" ( PI +T ) ") == parse_expr("PI+T")
 
 
+def chained_from_leaf(expression):
+    """The algebras along an expression, leaf first, each built by the
+    public, validated ``extend_top`` or ``union(., TWO)`` from the last."""
+    ops = []
+    while expression.base is not None:
+        ops.append(expression.head)
+        expression = expression.base
+    algebras = [standard_algebras()[expression.head]]
+    for op in reversed(ops):
+        last = algebras[-1]
+        algebras.append(extend_top(last) if op == "+T" else union(last, TWO))
+    return algebras
+
+
+# every reduced p/q with q <= 10 (p = 1 escalates to order 4q), and one
+# mid-range p at q = 20 and q = 40: the validated chain costs O(q^4), about
+# a second at q = 40, so not every q up to 40 is taken
+EQUIVALENCE_SYNTH_TARGETS = [
+    (p, q) for q in range(2, 11) for p in range(1, q) if gcd(p, q) == 1
+] + [(9, 20), (21, 40)]
+
+
 def test_expression_evaluation_matches_direct_construction():
     assert parse_expr("PI+2").evaluate().table == union(PI, TWO).table
     assert parse_expr("2+T").evaluate().table == extend_top(TWO).table
     assert parse_expr("TC").evaluate().table == TC.table
+    expressions = [e.expression for n in range(3, 13) for e in family(n).entries]
+    assert len(expressions) == sum(triangular(n - 2) for n in range(3, 13))
+    expressions += [synthesize(p, q).expression for p, q in EQUIVALENCE_SYNTH_TARGETS]
+    for expression in expressions:
+        chained = [a.table for a in chained_from_leaf(expression)]
+        assert [a.table for a in expression.steps()] == chained, str(expression)
+        assert expression.evaluate().table == chained[-1], str(expression)
+
+
+def test_constructions_check_only_the_algebras_they_return(monkeypatch):
+    calls = []
+    check = core.find_violation
+    monkeypatch.setattr(
+        core, "find_violation", lambda table: calls.append(table.order) or check(table)
+    )
+
+    def count(build, *args):
+        calls.clear()
+        build(*args)
+        return len(calls)
+
+    for text in ("2", "TC", "PI+2", "((((PI+2)+T)+2)+T)+T"):
+        expression = parse_expr(text)
+        assert count(expression.evaluate) == 1
+        # the leaf is the standard algebra itself; each later step is checked
+        assert count(expression.steps) == expression.order - expression.steps()[0].order
+    for n in range(3, 11):
+        assert count(family, n) == triangular(n - 2)
+    for n in range(4, 20):
+        assert count(b_star, n) == 1
+    assert count(synthesize, 2, 5) == count(synthesize, 1, 12) == 1
+
+
+def test_deep_expressions_do_not_recurse():
+    deep = trace_family_index(1200, 1)
+    assert deep.order == 1200
+    text = str(deep)
+    assert text == "(" * 1196 + "PI+T)" + "+T)" * 1195 + "+T"
+    assert parse_expr(text) == deep == trace_family_index(1200, 1)
+    assert deep != trace_family_index(1200, 2)
+    assert hash(deep) == hash(parse_expr(text))
+    assert repr(deep) == f"parse_expr({text!r})"
 
 
 def test_expression_order_matches_evaluation():
@@ -390,8 +463,6 @@ def test_synthesis_reduces_the_fraction_first():
 
 
 def test_synthesis_exactness_for_small_denominators():
-    from math import gcd
-
     for q in range(2, 9):
         for p in range(1, q):
             if gcd(p, q) != 1:
