@@ -51,11 +51,21 @@ INVOCATIONS = [
     ["props", "tc.bck"],
     ["build", "mn", "5"],
     ["build", "bn", "6"],
+    ["build", "mn", "2"],
+    ["build", "mn", "1"],
+    ["build", "bn", "3"],
     ["eval", "(PI+T)+2"],
     ["eval", "(PI+X)"],
+    ["eval", "2"],
+    ["eval", "TC+2"],
+    ["eval", "((2+T)⊔2)⊕⊤"],
+    ["eval", "(PI+T"],
+    ["eval", "PI+T)"],
+    ["eval", "PI TC"],
     ["op", "extend", "pi.bck"],
     ["op", "union", "pi.bck", "two.bck"],
     ["family", "7", "--exprs"],
+    ["family", "4", "--exprs"],
     ["cdset", "6"],
     ["synth", "2/5"],
     ["synth", "1/12"],
