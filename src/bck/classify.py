@@ -12,7 +12,8 @@ shows up as a one-element extension of some canonical representative of
 order n-1.  The extension's new row and column are filled cell by cell in
 row-major order with incremental axiom checks, completed tables get a
 final full validation, and classes are deduplicated via canonical forms.
-Levels are cached, so census and uniqueness checks reuse the same run.
+Each class representative is validated once, when its level is built, and
+levels are cached, so census and uniqueness checks reuse the same run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import isqrt
 
 from .construct import m_chain
 from .core import BckAlgebra, CayleyTable, _first_violation, validate
@@ -285,33 +285,38 @@ def _extend_and_canonicalize(args: tuple[tuple[Flat, ...], int]) -> set[Flat]:
     return out
 
 
-def _extend_level(bases: tuple[Flat, ...], jobs: int) -> tuple[Flat, ...]:
+def _extend_level(bases: tuple[BckAlgebra, ...], jobs: int) -> tuple[Flat, ...]:
     """Canonical flats of all one-element extensions of ``bases``, sorted.
 
     The bases are sharded over ``jobs`` worker processes when there are at
     least two per worker; the sorted result does not depend on ``jobs``.
     """
-    m = isqrt(len(bases[0]))
-    if jobs > 1 and len(bases) >= 2 * jobs:
-        chunks = [(bases[i::jobs], m) for i in range(jobs)]
+    m = bases[0].order
+    flats = tuple(base.table.flat() for base in bases)
+    if jobs > 1 and len(flats) >= 2 * jobs:
+        chunks = [(flats[i::jobs], m) for i in range(jobs)]
         merged: set[Flat] = set()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_extend_and_canonicalize, chunks):
                 merged |= part
     else:
-        merged = _extend_and_canonicalize((bases, m))
+        merged = _extend_and_canonicalize((flats, m))
     return tuple(sorted(merged))
 
 
 # Keyed by order alone: a level is the same whatever ``jobs`` built it.
-_LEVEL_CACHE: dict[int, tuple[Flat, ...]] = {1: ((0,),)}
+_LEVEL_CACHE: dict[int, tuple[BckAlgebra, ...]] = {1: (validate(CayleyTable([[0]])),)}
 
 
-def _level(n: int, jobs: int = 1) -> tuple[Flat, ...]:
-    """Canonical flats of all isomorphism classes of order n, sorted."""
+def _level(n: int, jobs: int = 1) -> tuple[BckAlgebra, ...]:
+    """Validated canonical representatives of all isomorphism classes of
+    order n, sorted; each is checked once, when its level is built."""
     cached = _LEVEL_CACHE.get(n)
     if cached is None:
-        cached = _LEVEL_CACHE[n] = _extend_level(_level(n - 1, jobs), jobs)
+        cached = _LEVEL_CACHE[n] = tuple(
+            validate(CayleyTable([flat[x * n : (x + 1) * n] for x in range(n)]))
+            for flat in _extend_level(_level(n - 1, jobs), jobs)
+        )
     return cached
 
 
@@ -340,11 +345,7 @@ def enumerate_algebras(
             f"{DEFAULT_ENUM_BUDGET} is unvalidated",
             stacklevel=2,
         )
-    algebras = []
-    for flat in _level(n, jobs):
-        rows = tuple(tuple(flat[x * n : (x + 1) * n]) for x in range(n))
-        algebras.append(validate(CayleyTable(rows)))
-    return algebras
+    return list(_level(n, jobs))
 
 
 def degree_census(n: int, budget: int | None = None, jobs: int = 1) -> dict[Fraction, int]:

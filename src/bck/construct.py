@@ -55,71 +55,50 @@ def _adjoin(rows: list[list[int]], op: str) -> None:
     rows.append([m] * m + [0])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class ConstructionExpr:
-    """Expression tree recording how an algebra was built.
+    """How an algebra was built, stored as its spine.
 
-    Leaves are the standard algebras ``2``, ``PI``, ``TC``; internal nodes
-    are the unary constructors ``+T`` (top extension) and ``+2`` (union
-    with the order-2 algebra).  Text form follows the grammar
+    The spine is a seed, one of the standard algebras ``2``, ``PI``,
+    ``TC``, and the operators applied to it, innermost first: ``+T`` (top
+    extension) and ``+2`` (union with the order-2 algebra), each adjoining
+    one element.  Text form follows the grammar
 
         expr := "2" | "PI" | "TC" | "(" expr "+T" ")" | "(" expr "+2" ")"
 
-    with whitespace insignificant.  Equality, hashing and ``repr`` go
-    through the spine, so none of them recurses on deep expressions.
+    with whitespace insignificant.  The spine is flat rather than a nested
+    tree, so equality and hashing (the dataclass defaults, comparing two
+    flat tuples) and every walk over an expression are loops: none of them
+    recurses, however many operators there are.
     """
 
-    head: str
-    base: ConstructionExpr | None = None
+    seed: str
+    ops: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.head in LEAF_NAMES:
-            if self.base is not None:
-                raise ValueError(f"leaf {self.head!r} cannot have a base")
-        elif self.head in (OP_EXTEND, OP_UNION2):
-            if self.base is None:
-                raise ValueError(f"operator {self.head!r} requires a base")
-        else:
-            raise ValueError(f"unknown expression head {self.head!r}")
-
-    @staticmethod
-    def leaf(name: str) -> ConstructionExpr:
-        return ConstructionExpr(name)
+        if self.seed not in LEAF_NAMES:
+            raise ValueError(f"unknown seed {self.seed!r}")
+        if type(self.ops) is not tuple:
+            raise ValueError(f"operators must be a tuple, got {self.ops!r}")
+        for op in self.ops:
+            if op not in (OP_EXTEND, OP_UNION2):
+                raise ValueError(f"unknown operator {op!r}")
 
     def extend_top(self) -> ConstructionExpr:
-        return ConstructionExpr(OP_EXTEND, self)
+        return ConstructionExpr(self.seed, self.ops + (OP_EXTEND,))
 
     def union2(self) -> ConstructionExpr:
-        return ConstructionExpr(OP_UNION2, self)
+        return ConstructionExpr(self.seed, self.ops + (OP_UNION2,))
 
     @property
     def order(self) -> int:
         """Order of the algebra the expression evaluates to."""
-        leaf, ops = self._spine()
-        return (2 if leaf == "2" else 3) + len(ops)
-
-    def _spine(self) -> tuple[str, tuple[str, ...]]:
-        """The leaf name and the operators applied to it, innermost first."""
-        ops = []
-        node = self
-        while node.base is not None:
-            ops.append(node.head)
-            node = node.base
-        return node.head, tuple(reversed(ops))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConstructionExpr):
-            return NotImplemented
-        return self._spine() == other._spine()
-
-    def __hash__(self) -> int:
-        return hash(self._spine())
+        return (2 if self.seed == "2" else 3) + len(self.ops)
 
     def _rows(self) -> list[list[int]]:
-        """The final table, built in one pass from the leaf's rows."""
-        leaf, ops = self._spine()
-        rows = [list(row) for row in standard_algebras()[leaf].table.rows]
-        for op in ops:
+        """The final table, built in one pass from the seed's rows."""
+        rows = [list(row) for row in standard_algebras()[self.seed].table.rows]
+        for op in self.ops:
             _adjoin(rows, op)
         return rows
 
@@ -127,21 +106,21 @@ class ConstructionExpr:
         return validate(CayleyTable(self._rows()))
 
     def steps(self) -> list[BckAlgebra]:
-        """Algebras along the construction, leaf first.
+        """Algebras along the construction, seed first.
 
         Each is the leading block of the final table (see the module
         docstring), checked on its own.
         """
-        leaf = standard_algebras()[self._spine()[0]]
+        seed = standard_algebras()[self.seed]
         rows = self._rows()
-        return [leaf] + [
+        return [seed] + [
             validate(CayleyTable([row[:m] for row in rows[:m]]))
-            for m in range(leaf.order + 1, len(rows) + 1)
+            for m in range(seed.order + 1, len(rows) + 1)
         ]
 
     def _render(self, spelling: dict[str, str]) -> str:
-        leaf, ops = self._spine()  # e.g. "((" + "PI" + "+T)+2)+T"
-        return "(" * (len(ops) - 1) + leaf + ")".join(spelling[op] for op in ops)
+        ops = self.ops  # e.g. "((" + "PI" + "+T)+2)+T"
+        return "(" * (len(ops) - 1) + self.seed + ")".join(spelling[op] for op in ops)
 
     def __str__(self) -> str:
         return self._render(_PLAIN)
@@ -181,7 +160,7 @@ def parse_expr(text: str) -> ConstructionExpr:
     the Unicode forms ⊕⊤ / ⊔2 are also recognized.
     """
     tokens = _tokenize(text.replace("⊕⊤", OP_EXTEND).replace("⊔2", OP_UNION2))
-    # expr is "(" * depth, a leaf, then per level: operators and a ")",
+    # expr is "(" * depth, a seed, then per level: operators and a ")",
     # except that the outermost level has operators only
     depth = 0
     while depth < len(tokens) and tokens[depth] == "(":
@@ -190,11 +169,11 @@ def parse_expr(text: str) -> ConstructionExpr:
         raise ExprParseError("unexpected end of input")
     if tokens[depth] not in LEAF_NAMES:
         raise ExprParseError(f"unexpected token {tokens[depth]!r}")
-    expr = ConstructionExpr.leaf(tokens[depth])
+    ops = []
     pos = depth + 1
     for level in range(depth, -1, -1):
         while pos < len(tokens) and tokens[pos] in (OP_EXTEND, OP_UNION2):
-            expr = ConstructionExpr(tokens[pos], expr)
+            ops.append(tokens[pos])
             pos += 1
         if level:
             if pos >= len(tokens) or tokens[pos] != ")":
@@ -203,7 +182,7 @@ def parse_expr(text: str) -> ConstructionExpr:
             pos += 1
     if pos != len(tokens):
         raise ExprParseError(f"trailing tokens after expression: {tokens[pos:]}")
-    return expr
+    return ConstructionExpr(tokens[depth], tuple(ops))
 
 
 def union(*parts: BckAlgebra) -> BckAlgebra:
@@ -265,10 +244,7 @@ def m_chain(n: int) -> BckAlgebra:
     """
     if n < 2:
         raise ValueError("m_chain requires order >= 2")
-    rows = tuple(
-        tuple(x if y < x else 0 for y in range(n)) for x in range(n)
-    )
-    return validate(CayleyTable(rows))
+    return ConstructionExpr("2", (OP_EXTEND,) * (n - 2)).evaluate()
 
 
 def b_star(n: int) -> BckAlgebra:
@@ -279,10 +255,7 @@ def b_star(n: int) -> BckAlgebra:
     """
     if n < 3:
         raise ValueError("b_star requires order >= 3")
-    expression = ConstructionExpr.leaf("PI")
-    for _ in range(n - 3):
-        expression = expression.union2()
-    return expression.evaluate()
+    return ConstructionExpr("PI", (OP_UNION2,) * (n - 3)).evaluate()
 
 
 def triangular(m: int) -> int:
@@ -327,11 +300,11 @@ class FamilyLevel:
 # The family's base levels, in increasing degree order; every later level
 # is derived from the order-4 one by the induction step in family().
 _BASE_SCHEDULE = {
-    3: (ConstructionExpr.leaf("PI"),),
+    3: (ConstructionExpr("PI"),),
     4: (
-        ConstructionExpr.leaf("PI").extend_top(),
-        ConstructionExpr.leaf("TC").extend_top(),
-        ConstructionExpr.leaf("PI").union2(),
+        ConstructionExpr("PI", (OP_EXTEND,)),
+        ConstructionExpr("TC", (OP_EXTEND,)),
+        ConstructionExpr("PI", (OP_UNION2,)),
     ),
 }
 
@@ -381,10 +354,8 @@ def trace_family_index(n: int, j: int) -> ConstructionExpr:
             ops.append(OP_UNION2)
             j -= m - 1  # predecessor t-(m-1)+(j-t)
         level -= 1
-    expr = _BASE_SCHEDULE[level][j - 1]
-    for op in reversed(ops):
-        expr = ConstructionExpr(op, expr)
-    return expr
+    base = _BASE_SCHEDULE[level][j - 1]
+    return ConstructionExpr(base.seed, base.ops + tuple(reversed(ops)))
 
 
 @dataclass(frozen=True)
@@ -421,7 +392,7 @@ def synthesize(p: int, q: int) -> SynthesisResult:
     if target > 1:
         raise ValueError("commuting degrees cannot exceed 1")
     if target == 1:
-        return SynthesisResult(target, ConstructionExpr.leaf("TC"), TC, 3, 0, None, False)
+        return SynthesisResult(target, ConstructionExpr("TC"), TC, 3, 0, None, False)
     p, q = target.numerator, target.denominator
     multiple = 1
     while True:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bck import classify
+from bck import classify, core
 from bck.classify import (
     canonical_form,
     degree_census,
@@ -223,6 +223,18 @@ def test_enumerated_representatives_are_canonical_sorted_and_valid():
         for algebra in algebras:
             assert find_violation(algebra.table) is None
             assert canonical_form(algebra) == algebra.table
+
+
+def test_enumerated_classes_are_validated_once(monkeypatch):
+    enumerate_algebras(5)  # builds every level up to 5, or finds it built
+    calls = []
+    check = core.find_violation
+    monkeypatch.setattr(
+        core, "find_violation", lambda table: calls.append(table.order) or check(table)
+    )
+    enumerate_algebras(5)
+    degree_census(5)
+    assert calls == []
 
 
 def test_enumeration_respects_the_budget():

@@ -1,9 +1,12 @@
 """Unions, top extensions, extremal families, degree schedules, synthesis."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bck import classify, core
 from bck.construct import (
@@ -306,14 +309,10 @@ def test_expression_accepts_fully_parenthesized_form():
 
 
 def chained_from_leaf(expression):
-    """The algebras along an expression, leaf first, each built by the
+    """The algebras along an expression, seed first, each built by the
     public, validated ``extend_top`` or ``union(., TWO)`` from the last."""
-    ops = []
-    while expression.base is not None:
-        ops.append(expression.head)
-        expression = expression.base
-    algebras = [standard_algebras()[expression.head]]
-    for op in reversed(ops):
+    algebras = [standard_algebras()[expression.seed]]
+    for op in expression.ops:
         last = algebras[-1]
         algebras.append(extend_top(last) if op == "+T" else union(last, TWO))
     return algebras
@@ -375,6 +374,26 @@ def test_deep_expressions_do_not_recurse():
     assert repr(deep) == f"parse_expr({text!r})"
 
 
+SPINES = st.builds(
+    ConstructionExpr,
+    st.sampled_from(["2", "PI", "TC"]),
+    st.lists(st.sampled_from(["+T", "+2"]), max_size=12).map(tuple),
+)
+
+
+@given(SPINES)
+def test_random_spines_round_trip_and_obey_the_transfer_lemmas(expression):
+    assert parse_expr(str(expression)) == expression == parse_expr(expression.pretty())
+    assert hash(parse_expr(str(expression))) == hash(expression)
+    assert expression.order == expression.evaluate().order
+    steps = expression.steps()
+    assert [a.order for a in steps] == list(range(steps[0].order, expression.order + 1))
+    counts = [oracle.pair_count(a.table.rows) for a in steps]
+    # +3 commuting pairs per top extension, +2m+1 per union with 2 at order m
+    for op, a, before, after in zip(expression.ops, steps, counts, counts[1:]):
+        assert after - before == (3 if op == "+T" else 2 * a.order + 1), str(expression)
+
+
 def test_expression_order_matches_evaluation():
     expr = parse_expr("((PI+2)+T)+2")
     assert expr.order == 6 == expr.evaluate().order
@@ -395,12 +414,17 @@ def test_expression_parse_errors(bad):
 
 
 def test_expression_constructor_rejects_malformed_nodes():
-    with pytest.raises(ValueError):
-        ConstructionExpr("PI", ConstructionExpr.leaf("2"))
-    with pytest.raises(ValueError):
-        ConstructionExpr("+T")
-    with pytest.raises(ValueError):
-        ConstructionExpr("XYZ")
+    # each message names the offending seed, operator tuple or operator
+    for seed, ops, offender in [
+        ("PI", ("PI",), "'PI'"),
+        ("PI", ("+T", "+X"), "'+X'"),
+        ("+T", (), "'+T'"),
+        ("XYZ", (), "'XYZ'"),
+        ("PI", ["+T"], "['+T']"),
+        ("PI", "+T", "'+T'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(offender)):
+            ConstructionExpr(seed, ops)
 
 
 # --- backward index tracing --------------------------------------------------
