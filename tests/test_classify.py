@@ -1,5 +1,6 @@
 """Canonical forms, isomorphism witnesses, enumeration, and census checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -212,6 +213,24 @@ def test_regression_class_counts():
         a for a in enumerate_algebras(6) if not a.is_commutative()
     ]
     assert len(noncommutative) == 747
+
+
+# sha256 of each level as one space-joined flat table per line, the same
+# text bench/reference.json hashes for orders 4 and 6
+LEVEL_DIGESTS = {
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "9f2f86d596f09a87813fc12a69ee9ae8cd9c9b781bd0b23ad60fd841838ff671",
+    3: "cf515ad3652822e826996c73641769fd094d52c37a0d6d5d21a603a5c63b8e0d",
+    4: "9e8da8ba47d5537291f9a990cc047296be127adabdb72508bc998faf56b555ce",
+    5: "9f0a1d0cba77eeb669ebeb8a8b44c2a4a81bcccc6c0c5043a40b7a32e69cd3d3",
+    6: "5f0a0e7683c8d1cdb16f37ae9435560668614728c34203b38c464dfd94aa7133",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEVEL_DIGESTS))
+def test_enumerated_levels_are_byte_identical(n):
+    text = "\n".join(" ".join(map(str, a.table.flat())) for a in enumerate_algebras(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_DIGESTS[n]
 
 
 def test_enumerated_representatives_are_canonical_sorted_and_valid():
