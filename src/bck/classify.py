@@ -9,9 +9,10 @@ right tool at enumeration scale, where (n-1)! stays tiny.
 Enumeration builds the catalog level by level: every algebra of order n
 contains a subalgebra of order n-1, so each isomorphism class of order n
 shows up as a one-element extension of some canonical representative of
-order n-1.  The extension's new row and column are filled cell by cell in
-row-major order with incremental axiom checks, completed tables get a
-final full validation, and classes are deduplicated via canonical forms.
+order n-1.  The new element e's column, then its row, is filled cell by
+cell, each cell (x, y) taking only values v with v*x = 0 or v = e, with
+incremental axiom checks; completed tables get a final full validation,
+and classes are deduplicated via canonical forms.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -33,6 +34,7 @@ DEFAULT_ENUM_BUDGET = 6
 _CANONICAL_ORDER_LIMIT = 10
 
 Flat = tuple[int, ...]
+Rows = tuple[tuple[int, ...], ...]
 
 
 def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
@@ -182,21 +184,17 @@ def is_isomorphic(a: BckAlgebra, b: BckAlgebra) -> bool:
 # --- enumeration -----------------------------------------------------------
 
 
-def _partial_ok(t: list[list[int]], n: int, x: int, y: int) -> bool:
+def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
     """Check axiom instances touching cell (x, y) that are fully determined.
 
     Unknown cells hold -1; instances that still involve one are skipped
     (the completed table gets a full validation later).  Sound pruning:
     only definite violations reject a branch.
     """
+    n = len(t)
     v = t[x][y]
     if v == 0 and x != y and t[y][x] == 0:
         return False  # BCK5
-    if t[v][x] > 0:
-        return False  # x*y <= x must hold
-    c = t[v][y]
-    if c >= 0 and t[c][v] > 0:
-        return False  # (x*y)*y <= x*y must hold
     for q in range(n):
         r = t[x][q]
         if r >= 0:
@@ -231,28 +229,17 @@ def _partial_ok(t: list[list[int]], n: int, x: int, y: int) -> bool:
     return True
 
 
-def _extensions(base: Flat, m: int) -> list[Flat]:
+def _extensions(base: Rows) -> list[Flat]:
     """All valid labeled order-(m+1) tables whose leading block is ``base``.
 
-    The fresh element e = m gets row and column filled in row-major order:
-    first the column cells (x, e), then the row cells (e, y).  Column
-    values must satisfy x*e <= x within the base (or be e itself), and row
-    values w must satisfy w*e = 0 against the already-chosen column, which
-    keeps the branching narrow.
+    The new element e = m gets its column, cells (x, e), filled first and
+    then its row, cells (e, y).  A cell (x, y) takes only values v with
+    v*x = 0 (so that x*y <= x) or v = e, which keeps the branching narrow.
     """
-    n = m + 1
-    e = m
-    t = [[-1] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            t[i][j] = base[i * m + j]
-    t[0][e] = 0
+    m = e = len(base)
+    t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
+    t[0][e] = t[e][e] = 0
     t[e][0] = e
-    t[e][e] = 0
-    col_candidates = {
-        x: [u for u in range(m) if base[u * m + x] == 0] + [e]
-        for x in range(1, m)
-    }
     cells = [(x, e) for x in range(1, m)] + [(e, y) for y in range(1, m)]
     found: list[Flat] = []
 
@@ -262,13 +249,9 @@ def _extensions(base: Flat, m: int) -> list[Flat]:
                 found.append(tuple(v for row in t for v in row))
             return
         x, y = cells[k]
-        if y == e:
-            values = col_candidates[x]
-        else:
-            values = [u for u in range(m) if t[u][e] == 0] + [e]
-        for v in values:
+        for v in [u for u in range(m) if t[u][x] == 0] + [e]:
             t[x][y] = v
-            if _partial_ok(t, n, x, y):
+            if _partial_ok(t, x, y):
                 fill(k + 1)
         t[x][y] = -1
 
@@ -276,31 +259,23 @@ def _extensions(base: Flat, m: int) -> list[Flat]:
     return found
 
 
-def _extend_and_canonicalize(args: tuple[tuple[Flat, ...], int]) -> set[Flat]:
-    bases, m = args
-    out: set[Flat] = set()
-    for base in bases:
-        for flat in _extensions(base, m):
-            out.add(_canonical_flat(flat, m + 1))
-    return out
+def _extend_and_canonicalize(bases: tuple[Rows, ...]) -> set[Flat]:
+    return {_canonical_flat(f, len(b) + 1) for b in bases for f in _extensions(b)}
 
 
 def _extend_level(bases: tuple[BckAlgebra, ...], jobs: int) -> tuple[Flat, ...]:
     """Canonical flats of all one-element extensions of ``bases``, sorted.
 
-    The bases are sharded over ``jobs`` worker processes when there are at
-    least two per worker; the sorted result does not depend on ``jobs``.
+    The bases' rows are sharded over ``jobs`` worker processes when there
+    are at least two per worker; the sorted result does not depend on ``jobs``.
     """
-    m = bases[0].order
-    flats = tuple(base.table.flat() for base in bases)
-    if jobs > 1 and len(flats) >= 2 * jobs:
-        chunks = [(flats[i::jobs], m) for i in range(jobs)]
-        merged: set[Flat] = set()
+    rows = tuple(base.table.rows for base in bases)
+    if jobs > 1 and len(rows) >= 2 * jobs:
+        chunks = [rows[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_extend_and_canonicalize, chunks):
-                merged |= part
+            merged = set().union(*pool.map(_extend_and_canonicalize, chunks))
     else:
-        merged = _extend_and_canonicalize((flats, m))
+        merged = _extend_and_canonicalize(rows)
     return tuple(sorted(merged))
 
 

@@ -382,9 +382,10 @@ def synthesize(p: int, q: int) -> SynthesisResult:
     """Build an algebra whose commuting degree is exactly p/q.
 
     The fraction is reduced first.  Degree 1 is realized by TC.  Otherwise
-    the order is the smallest n in {2q, 4q, 6q, ...} for which the needed
-    pair count k = n^2(q-p)/(2q) lands in [1, T(n-2)]; n = 2q always works
-    for reduced p >= 2, while p = 1 escalates to n = 4q.
+    the order n is 2q for p >= 2 and 4q for p = 1: the least multiple of 2q
+    at which the pair count k = n^2(q-p)/(2q) lies in [1, T(n-2)].  At
+    n = 2q, k <= T(2q-2) = (q-1)(2q-1) iff 2pq >= 3q-1, which fails only for
+    p = 1; at n = 4q, 8q(q-1) <= (2q-1)(4q-1) holds for every q.
     """
     if p <= 0 or q <= 0:
         raise ValueError("degree must be a positive rational")
@@ -394,14 +395,9 @@ def synthesize(p: int, q: int) -> SynthesisResult:
     if target == 1:
         return SynthesisResult(target, ConstructionExpr("TC"), TC, 3, 0, None, False)
     p, q = target.numerator, target.denominator
-    multiple = 1
-    while True:
-        n = 2 * q * multiple
-        k = 2 * multiple * multiple * q * (q - p)
-        if 1 <= k <= triangular(n - 2):
-            break
-        multiple += 1
+    n = 2 * q if p > 1 else 4 * q
+    k = n * n * (q - p) // (2 * q)
     j = triangular(n - 2) - k + 1
     expression = trace_family_index(n, j)
     algebra = expression.evaluate()
-    return SynthesisResult(target, expression, algebra, n, k, j, multiple > 1)
+    return SynthesisResult(target, expression, algebra, n, k, j, p == 1)

@@ -25,6 +25,7 @@ pure function of its inputs, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -189,8 +190,8 @@ class BckAlgebra:
     def commutes(self, x: int, y: int) -> bool:
         return self.meet(x, y) == self.meet(y, x)
 
-    def commuting_report(self) -> CommutingReport:
-        """Count ordered commuting pairs exactly and reduce the degree."""
+    @cached_property
+    def _commuting(self) -> CommutingReport:
         t = self.table.rows
         n = self.order
         count = 0
@@ -200,12 +201,16 @@ class BckAlgebra:
                     count += 1
         return CommutingReport(n, count, Fraction(count, n * n))
 
+    def commuting_report(self) -> CommutingReport:
+        """Ordered commuting pairs, counted exactly once per algebra, and the
+        reduced degree."""
+        return self._commuting
+
     def commuting_degree(self) -> Fraction:
         return self.commuting_report().degree
 
     def is_commutative(self) -> bool:
-        n = self.order
-        return all(self.commutes(x, y) for x in range(n) for y in range(x + 1, n))
+        return self._commuting.pair_count == self.order * self.order
 
     def is_positive_implicative(self) -> bool:
         """Whether x*y = (x*y)*y holds for all pairs."""

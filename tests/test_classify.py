@@ -233,6 +233,23 @@ def test_enumerated_levels_are_byte_identical(n):
     assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_DIGESTS[n]
 
 
+@pytest.mark.parametrize("m", range(1, 5))
+def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
+    # the labeled search is complete and sound: over each representative it
+    # yields, once each, the oracle's valid order-(m+1) tables with that
+    # representative as their leading m-by-m block
+    tables = oracle.pruned_valid_tables(m + 1)
+    for base in enumerate_algebras(m):
+        rows = base.table.rows
+        found = classify._extensions(rows)
+        assert len(found) == len(set(found))
+        assert set(found) == {
+            tuple(v for row in t for v in row)
+            for t in tables
+            if tuple(row[:m] for row in t[:m]) == rows
+        }
+
+
 def test_enumerated_representatives_are_canonical_sorted_and_valid():
     for n in range(2, 6):
         algebras = enumerate_algebras(n)
@@ -254,6 +271,18 @@ def test_enumerated_classes_are_validated_once(monkeypatch):
     enumerate_algebras(5)
     degree_census(5)
     assert calls == []
+
+
+def test_enumerated_classes_are_counted_once(monkeypatch):
+    degree_census(5)  # counts every order-5 class, or finds them counted
+    reports = []
+    report = core.CommutingReport
+    monkeypatch.setattr(
+        core, "CommutingReport", lambda *args: reports.append(args) or report(*args)
+    )
+    degree_census(5)
+    assert [a.is_commutative() for a in enumerate_algebras(5)].count(True) == 11
+    assert reports == []
 
 
 def test_enumeration_respects_the_budget():
