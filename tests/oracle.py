@@ -24,29 +24,39 @@ def pair_count(rows: Rows) -> int:
     return count
 
 
-def axioms_hold(rows: Rows) -> bool:
+def first_violation(rows: Rows) -> tuple[str, tuple[int, ...]] | None:
+    """The first failing axiom and its least witness, in the documented
+    order BCK3, BCK4, x*0=x, BCK5, BCK2, BCK1; each axiom's instances are
+    tried with their witness tuples in ascending lexicographic order."""
     n = len(rows)
     r = range(n)
-    if any(rows[x][x] != 0 for x in r):
-        return False
-    if any(rows[0][x] != 0 for x in r):
-        return False
-    if any(rows[x][0] != x for x in r):
-        return False
+    for x in r:
+        if rows[x][x] != 0:
+            return "BCK3", (x,)
+    for x in r:
+        if rows[0][x] != 0:
+            return "BCK4", (x,)
+    for x in r:
+        if rows[x][0] != x:
+            return "x*0=x", (x,)
     for x in r:
         for y in r:
-            if x != y and rows[x][y] == 0 and rows[y][x] == 0:
-                return False
+            if x < y and rows[x][y] == 0 and rows[y][x] == 0:
+                return "BCK5", (x, y)
     for x in r:
         for y in r:
             if rows[rows[x][rows[x][y]]][y] != 0:
-                return False
+                return "BCK2", (x, y)
     for x in r:
         for y in r:
             for z in r:
                 if rows[rows[rows[x][y]][rows[x][z]]][rows[z][y]] != 0:
-                    return False
-    return True
+                    return "BCK1", (x, y, z)
+    return None
+
+
+def axioms_hold(rows: Rows) -> bool:
+    return first_violation(rows) is None
 
 
 def all_valid_tables(n: int) -> list[Rows]:

@@ -61,6 +61,28 @@ def test_out_of_range_error_names_the_table_row():
         parse_bck("bck 1\n2\n0 0\n1 5\n")
 
 
+def test_leading_zeros_are_read_as_decimal():
+    rows = ["0 0 0 0 0 0 0 0"] + [f"{x} 0 0 0 0 0 0 0" for x in range(1, 7)]
+    table = parse_bck("bck 1\n8\n" + "\n".join(rows) + "\n007 000 0 0 0 0 0 00\n")
+    assert table.rows[7] == (7, 0, 0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000, "\u0661", "\u00b2"])
+def test_entries_int_refuses_are_parse_errors_on_their_line(entry):
+    # int() refuses more than 4,300 digits; U+0661 and U+00B2 are digits
+    # to str.isdigit but not ASCII
+    with pytest.raises(ParseError) as info:
+        parse_bck(f"bck 1\n3\n0 0 0\n1 0 {entry}\n2 2 0\n")
+    assert info.value.line == 4
+    assert "non-numeric entry" in str(info.value)
+
+
+def test_out_of_range_in_the_last_column_names_row_and_column():
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n3\n0 0 0\n1 0 0\n2 2 3\n")
+    assert str(info.value) == "line 5: entry 3 out of range 0..2 at row 3, column 3"
+
+
 def test_dot_of_the_order_four_chain():
     assert emit_hasse_dot(m_chain(4)) == (
         "digraph hasse {\n"

@@ -1,10 +1,11 @@
 """Axiom validation, the induced order, meets, and commuting degrees."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from bck import classify
+from bck import classify, core
 from bck.construct import b_star, extend_top, m_chain, union
 from bck.core import (
     PI,
@@ -105,6 +106,119 @@ def test_violation_message_names_axiom_and_witness():
 def test_valid_tables_have_no_violation():
     for algebra in (TWO, PI, TC):
         assert find_violation(algebra.table) is None
+
+
+# --- the checker against the naive oracle ------------------------------------
+
+
+def _assert_checker_agrees(rows):
+    # the same first axiom and least witness from find_violation, and from
+    # the raw-rows check on tuple rows and on the list rows that
+    # enumeration passes in
+    want = oracle.first_violation(rows)
+    found = find_violation(CayleyTable(rows))
+    assert (None if found is None else (found.axiom, found.witness)) == want, rows
+    assert core._first_violation(rows) == want, rows
+    assert core._first_violation([list(row) for row in rows]) == want, rows
+
+
+def _one_cell_changes(rows):
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            for v in range(n):
+                if v != rows[x][y]:
+                    grid = [list(row) for row in rows]
+                    grid[x][y] = v
+                    yield tuple(tuple(row) for row in grid)
+
+
+def _union_rows(a, b):
+    # a | b: x*y = x across the two parts, which share only 0
+    na, nb = len(a), len(b)
+
+    def cell(x, y):
+        if x == 0 or y == 0:
+            return x
+        if x < na and y < na:
+            return a[x][y]
+        if x >= na and y >= na:
+            v = b[x - na + 1][y - na + 1]
+            return 0 if v == 0 else v + na - 1
+        return x
+
+    n = na + nb - 1
+    return tuple(tuple(cell(x, y) for y in range(n)) for x in range(n))
+
+
+def _extend_rows(a):
+    # a + T: x*T = 0 and T*x = T for the new top T
+    n = len(a)
+    return tuple(row + (0,) for row in a) + ((n,) * n + (0,),)
+
+
+def _corrupted(rng, rows, kind):
+    # one changed cell aimed at ``kind``; "late" changes a cell off row 0,
+    # column 0 and the diagonal, which only BCK2 or BCK1 can catch
+    n = len(rows)
+    grid = [list(row) for row in rows]
+    if kind == "BCK3":
+        x = rng.randrange(1, n)
+        grid[x][x] = rng.randrange(1, n)
+    elif kind == "BCK4":
+        grid[0][rng.randrange(1, n)] = rng.randrange(1, n)
+    elif kind == "x*0=x":
+        x = rng.randrange(1, n)
+        grid[x][0] = rng.choice([v for v in range(n) if v != x])
+    elif kind == "BCK5":
+        x, y = rng.choice([(x, y) for x in range(1, n) for y in range(1, n)
+                           if x != y and rows[y][x] == 0])
+        grid[x][y] = 0
+    else:
+        x, y = rng.sample(range(1, n), 2)
+        grid[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]])
+    return tuple(tuple(row) for row in grid)
+
+
+def test_checker_agrees_with_the_oracle_on_every_small_valid_table():
+    for n in range(1, 5):
+        tables = oracle.all_valid_tables(n) if n <= 3 else oracle.forced_valid_tables(n)
+        assert tables
+        for rows in tables:
+            _assert_checker_agrees(rows)
+
+
+def test_checker_agrees_with_the_oracle_on_every_one_cell_change_of_order_four():
+    fired = set()
+    for rows in oracle.group_into_classes(oracle.forced_valid_tables(4)):
+        for changed in _one_cell_changes(rows):
+            _assert_checker_agrees(changed)
+            found = oracle.first_violation(changed)
+            fired.add(None if found is None else found[0])
+    assert fired == {None, "BCK3", "BCK4", "x*0=x", "BCK5", "BCK2", "BCK1"}
+
+
+def test_checker_agrees_with_the_oracle_on_corrupted_constructions():
+    rng = random.Random(8)
+    parts = [rows for n in (2, 3) for rows in
+             oracle.group_into_classes(oracle.all_valid_tables(n))]
+    kinds = ("BCK3", "BCK4", "x*0=x", "BCK5") + ("late",) * 20
+    fired = set()
+    for n in range(20, 41, 4):
+        rows = rng.choice(parts)
+        while len(rows) < n:
+            if rng.random() < 0.25:
+                rows = _extend_rows(rows)
+            else:
+                rows = _union_rows(rows, rng.choice(parts))
+        _assert_checker_agrees(rows)
+        assert oracle.first_violation(rows) is None
+        for kind in kinds:
+            corrupted = _corrupted(rng, rows, kind)
+            _assert_checker_agrees(corrupted)
+            found = oracle.first_violation(corrupted)
+            fired.add(None if found is None else found[0])
+    assert {"BCK3", "BCK4", "x*0=x", "BCK5", "BCK2", "BCK1"} <= fired
 
 
 # --- order, meet, commuting ------------------------------------------------
