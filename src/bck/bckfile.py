@@ -67,6 +67,17 @@ def parse_bck(text: str) -> CayleyTable:
             raise ParseError(
                 line_no, f"row {x + 1} has {len(parts)} entries, expected {n}"
             )
+        digits = "".join(parts)
+        if digits.isascii() and digits.isdigit():
+            try:
+                row = tuple(map(int, parts))
+            except ValueError:
+                pass  # int() refuses more than 4,300 digits
+            else:
+                if max(row) < n:
+                    rows.append(row)
+                    continue
+        # a malformed row is read cell by cell, to name the offending entry
         row = []
         for y, part in enumerate(parts):
             try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import getitem
 
 
 class FormatError(ValueError):
@@ -100,7 +101,14 @@ def find_violation(table: CayleyTable) -> AxiomViolation | None:
 
 def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     """The axiom check of :func:`find_violation` on raw rows (any n-by-n
-    sequence of sequences), returning ``(axiom, witness)`` or None."""
+    sequence of sequences), returning ``(axiom, witness)`` or None.
+
+    BCK1 is read as (x*y)*(x*z) <= z*y.  Over z, the left side depends only
+    on x and u = x*y: for each x it is built once per distinct u, as the
+    rows of u*(x*z), and compared with column y in C.  An instance with
+    u = 0 holds, since 0*w = 0 by BCK4, which is checked first.  Only a
+    failing (x, y) is scanned over z, for the least witness.
+    """
     n = len(t)
     for x in range(n):
         if t[x][x] != 0:
@@ -120,13 +128,20 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
         for y in range(n):
             if t[tx[tx[y]]][y] != 0:
                 return "BCK2", (x, y)
+    cols = list(zip(*t))
     for x in range(n):
         tx = t[x]
+        lefts = {}
         for y in range(n):
-            ta = t[tx[y]]
-            for z in range(n):
-                if t[ta[tx[z]]][t[z][y]] != 0:
-                    return "BCK1", (x, y, z)
+            u = tx[y]
+            if u == 0:
+                continue
+            left = lefts.get(u)
+            if left is None:
+                left = lefts[u] = tuple(map(t.__getitem__, map(t[u].__getitem__, tx)))
+            if any(map(getitem, left, cols[y])):
+                values = map(getitem, left, cols[y])
+                return "BCK1", (x, y, next(z for z, v in enumerate(values) if v))
     return None
 
 
