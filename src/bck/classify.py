@@ -138,6 +138,11 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
     inverse = [-1] * n
     inverse[0] = 0
     assigned = [0]
+    # the pairs (s, t) with s*t = x, per x; checked once both are assigned
+    preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, row in enumerate(ta):
+        for t, v in enumerate(row):
+            preimages[v].append((s, t))
 
     def consistent(x: int, u: int) -> bool:
         for y in assigned:
@@ -149,10 +154,9 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
                         return False
                 elif inverse[w] >= 0:
                     return False
-        for s in assigned:
-            for t in assigned:
-                if ta[s][t] == x and tb[sigma[s]][sigma[t]] != u:
-                    return False
+        for s, t in preimages[x]:
+            if sigma[s] >= 0 and sigma[t] >= 0 and tb[sigma[s]][sigma[t]] != u:
+                return False
         return True
 
     def search(k: int) -> bool:
