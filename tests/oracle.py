@@ -8,6 +8,7 @@ permutation pairwise.  None of it shares code with the package.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 Rows = tuple[tuple[int, ...], ...]
@@ -118,13 +119,15 @@ def _partial_consistent(grid: list[list[int | None]]) -> bool:
     return True
 
 
-def pruned_valid_tables(n: int) -> list[Rows]:
+@cache
+def pruned_valid_tables(n: int) -> tuple[Rows, ...]:
     """Valid tables found by depth-first search over the free cells.
 
     The cells are the same as in ``forced_valid_tables``; a branch is cut
     as soon as a fully assigned axiom instance fails, and every completed
     table still goes through the full ``axioms_hold`` filter.  Used at
-    n = 5, where the 5**12 product is out of reach.
+    n = 5, where the 5**12 product is out of reach.  The result is computed
+    once per n and shared, so it is a tuple that no caller can change.
     """
     free = [(x, y) for x in range(1, n) for y in range(1, n) if x != y]
     grid: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -148,7 +151,7 @@ def pruned_valid_tables(n: int) -> list[Rows]:
         grid[x][y] = None
 
     fill(0)
-    return out
+    return tuple(out)
 
 
 def relabeled(rows: Rows, sigma: tuple[int, ...]) -> Rows:
