@@ -38,6 +38,8 @@ def test_rejects_non_square_table():
 def test_rejects_out_of_range_entry():
     with pytest.raises(FormatError):
         CayleyTable(((0, 2), (1, 0)))
+    with pytest.raises(FormatError, match=r"^entry -1 at \(1,1\) out of range 0\.\.1$"):
+        CayleyTable(((0, 0), (1, -1)))
 
 
 @pytest.mark.parametrize("value", [1.9, True])
@@ -219,6 +221,81 @@ def test_checker_agrees_with_the_oracle_on_corrupted_constructions():
             found = oracle.first_violation(corrupted)
             fired.add(None if found is None else found[0])
     assert {"BCK3", "BCK4", "x*0=x", "BCK5", "BCK2", "BCK1"} <= fired
+
+
+def _grown_rows(rng, parts, n):
+    # a union/top-extension table of order exactly n, grown in place from
+    # one part by +T and by unions with parts that still fit
+    grid = [list(row) for row in rng.choice(parts)]
+    while len(grid) < n:
+        m = len(grid)
+        fits = [b for b in parts if m + len(b) - 1 <= n]
+        if rng.random() < 0.25 or not fits:
+            for row in grid:
+                row.append(0)
+            grid.append([m] * m + [0])
+        else:
+            b = rng.choice(fits)
+            for x, row in enumerate(grid):
+                row.extend([x] * (len(b) - 1))
+            for bx in range(1, len(b)):
+                grid.append([m + bx - 1] * m + [v and v + m - 1 for v in b[bx][1:]])
+    return tuple(tuple(row) for row in grid)
+
+
+def _breaks_row_one_or_two(rows):
+    # BCK2 or BCK1 fails at some x <= 2, so the oracle's scans stop early
+    n = len(rows)
+    r = range(n)
+    return any(
+        rows[rows[x][rows[x][y]]][y]
+        or any(rows[rows[rows[x][y]][rows[x][z]]][rows[z][y]] for z in r)
+        for x in (1, 2)
+        for y in r
+    )
+
+
+def test_checker_agrees_with_the_oracle_across_the_byte_boundary():
+    # values from 255 on no longer fit one byte of the checker's lanes; a
+    # random relabelling puts such values in every row and column
+    rng = random.Random(9)
+    parts = [rows for n in (2, 3) for rows in
+             oracle.group_into_classes(oracle.all_valid_tables(n))]
+    fired = set()
+    for n in (255, 256, 257, 300):
+        tail = rng.sample(range(1, n), n - 1)
+        rows = oracle.relabeled(_grown_rows(rng, parts, n), (0, *tail))
+        assert find_violation(CayleyTable(rows)) is None
+        assert core._first_violation([list(row) for row in rows]) is None
+        corrupted = 0
+        while corrupted < 3:
+            x, y = rng.randrange(1, 3), rng.randrange(1, n)
+            grid = [list(row) for row in rows]
+            grid[x][y] = rng.choice([v for v in range(1, n) if rows[v][x] == 0])
+            if x == y or grid[x][y] == rows[x][y] or not _breaks_row_one_or_two(grid):
+                continue
+            changed = tuple(tuple(row) for row in grid)
+            _assert_checker_agrees(changed)
+            fired.add(oracle.first_violation(changed)[0])
+            corrupted += 1
+    assert fired == {"BCK2", "BCK1"}
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_bck1_witness_past_the_byte_boundary(n):
+    # this part breaks only BCK1, first at (1, 2, 3), where 3*2 = 2 != 0; in
+    # a union it is the only part that fails, and swapping labels sends its
+    # 1 to 1 and its 2 to n-1, so the failing lane reads z*y = n-1 >= 255
+    bad = ((0, 0, 0, 0), (1, 0, 1, 0), (2, 2, 0, 0), (3, 3, 2, 0))
+    parts = [rows for k in (2, 3) for rows in
+             oracle.group_into_classes(oracle.all_valid_tables(k))]
+    rows = _union_rows(_grown_rows(random.Random(n), parts, n - 3), bad)
+    sigma = list(range(n))
+    sigma[1], sigma[n - 3] = n - 3, 1
+    sigma[n - 2], sigma[n - 1] = n - 1, n - 2
+    rows = oracle.relabeled(rows, tuple(sigma))
+    assert oracle.first_violation(rows) == ("BCK1", (1, n - 1, n - 2))
+    _assert_checker_agrees(rows)
 
 
 # --- order, meet, commuting ------------------------------------------------
