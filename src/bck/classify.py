@@ -191,25 +191,32 @@ def is_isomorphic(a: BckAlgebra, b: BckAlgebra) -> bool:
 def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
     """Check axiom instances touching cell (x, y) that are fully determined.
 
-    Unknown cells hold -1; instances that still involve one are skipped
-    (the completed table gets a full validation later).  Sound pruning:
-    only definite violations reject a branch.
+    (x, y) lies in the last row or column, e = n-1, and the other cells
+    outside them hold a valid base.  Unknown cells hold -1; instances that
+    still involve one are skipped (the completed table gets a full
+    validation later).  Sound pruning: only definite violations reject a
+    branch.
     """
     n = len(t)
     v = t[x][y]
     if v == 0 and x != y and t[y][x] == 0:
         return False  # BCK5
-    for q in range(n):
-        r = t[x][q]
-        if r >= 0:
-            s = t[x][r]
-            if s >= 0 and t[s][q] > 0:
-                return False  # BCK2 at (x, q)
-        r = t[q][y]
-        if r >= 0:
-            s = t[q][r]
-            if s >= 0 and t[s][y] > 0:
-                return False  # BCK2 at (q, y)
+    # BCK2 at (p, q) reads (p, q), (p, p*q) and ((p*(p*q)), q); with p and q
+    # both below e it reads only the valid base and holds
+    if y == n - 1:
+        for q in range(n):
+            r = t[q][y]
+            if r >= 0:
+                s = t[q][r]
+                if s >= 0 and t[s][y] > 0:
+                    return False  # BCK2 at (q, y)
+    else:
+        for q in range(n):
+            r = t[x][q]
+            if r >= 0:
+                s = t[x][r]
+                if s >= 0 and t[s][q] > 0:
+                    return False  # BCK2 at (x, q)
     for z in range(n):
         a = t[x][y]
         b = t[x][z]

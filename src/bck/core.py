@@ -25,9 +25,16 @@ pure function of its inputs, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
-from operator import getitem
+from itertools import chain, compress, repeat
+from operator import eq, getitem
+
+
+_from = int.from_bytes
+# _EQ[d] maps the byte d to 1 and every other byte to 0
+_EQ = tuple(bytes(d) + b"\x01" + bytes(255 - d) for d in range(256))
+_NONZERO = b"\x00" + b"\x01" * 255
 
 
 class FormatError(ValueError):
@@ -67,7 +74,9 @@ class CayleyTable:
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
-            for y, v in enumerate(row):
+            if {int}.issuperset(map(type, row)) and min(row) >= 0 and max(row) < n:
+                continue
+            for y, v in enumerate(row):  # name the first offending entry
                 if type(v) is not int:
                     raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
                 if not 0 <= v < n:
@@ -103,11 +112,18 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     """The axiom check of :func:`find_violation` on raw rows (any n-by-n
     sequence of sequences), returning ``(axiom, witness)`` or None.
 
-    BCK1 is read as (x*y)*(x*z) <= z*y.  Over z, the left side depends only
-    on x and u = x*y: for each x it is built once per distinct u, as the
-    rows of u*(x*z), and compared with column y in C.  An instance with
-    u = 0 holds, since 0*w = 0 by BCK4, which is checked first.  Only a
-    failing (x, y) is scanned over z, for the least witness.
+    BCK1 is read as (x*y)*(x*z) <= z*y and checked over lanes: lane y of
+    an int is its byte y, holding 0 or 1.  For x and u = x*y, let
+    a = u*(x*z).  Row z of the table, translated through the 0/1 table of
+    "a*v != 0", has its lane y set exactly when (x, y, z) fails, for every
+    y with x*y = u.  So for each x and each value u of row x, the union of
+    these rows over the z with a != 0, masked to the lanes y with x*y = u,
+    is the set of failing y.  A value v is split into the block of 255
+    values holding it and its digit there, so that bytes.translate can map
+    it; a cell outside a block reads 255, which every table maps to 0.
+    Instances with u = 0 hold, since 0*w = 0 by BCK4, and so do those with
+    z = x, where a = u and u*u = 0 by BCK3; both are checked first.  Only
+    the least failing (x, y) is scanned over z, for the least witness.
     """
     n = len(t)
     for x in range(n):
@@ -128,21 +144,59 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
         for y in range(n):
             if t[tx[tx[y]]][y] != 0:
                 return "BCK2", (x, y)
-    cols = list(zip(*t))
-    for x in range(n):
+    cuts, digits, pieces = _layout(n)
+    flats = [bytes(map(d.__getitem__, chain.from_iterable(t))) for d in digits]
+    # rows[i][z]: row z as digits of block i; nonzero[i][a]: the table
+    # mapping the digit d of block i to 1 if a*(255i + d) != 0, else to 0
+    # (a digit of block 0 is 0 exactly for the value 0)
+    rows = [list(map(flat.__getitem__, cuts)) for flat in flats]
+    flat = flats[0].translate(_NONZERO)
+    nonzero = [
+        list(map(bytes.ljust, map(flat.__getitem__, piece), repeat(256), repeat(b"\0")))
+        for piece in pieces
+    ]
+    per_block = list(zip(rows, nonzero))
+    elements = range(n)
+    for x in elements:
         tx = t[x]
-        lefts = {}
-        for y in range(n):
-            u = tx[y]
-            if u == 0:
+        least = n
+        for u in set(tx):
+            if not u or tx.index(u) >= least:
                 continue
-            left = lefts.get(u)
-            if left is None:
-                left = lefts[u] = tuple(map(t.__getitem__, map(t[u].__getitem__, tx)))
-            if any(map(getitem, left, cols[y])):
-                values = map(getitem, left, cols[y])
-                return "BCK1", (x, y, next(z for z, v in enumerate(values) if v))
+            tu = t[u]
+            fail = 0  # lanes y with (u*(x*z))*(z*y) != 0 for some z
+            for z in compress(elements, map(tu.__getitem__, tx)):
+                if z != x:  # (u*(x*x))*(x*y) = u*u = 0 by BCK3
+                    a = tu[tx[z]]
+                    for digit_rows, tables in per_block:
+                        fail |= _from(digit_rows[z].translate(tables[a]), "little")
+            if fail:
+                fail &= _from(rows[u // 255][x].translate(_EQ[u % 255]), "little")
+                if fail:
+                    least = min(least, ((fail & -fail).bit_length() - 1) >> 3)
+        if least < n:
+            tu = t[tx[least]]
+            z = next(z for z in range(n) if t[tu[tx[z]]][t[z][least]])
+            return "BCK1", (x, least, z)
     return None
+
+
+@cache
+def _layout(n: int) -> tuple[list[slice], list[bytes], list[list[slice]]]:
+    """For a flat n-by-n table: the slices of its rows; per block of 255
+    values starting at b, the map from a value v to its digit (v - b
+    inside the block, 255 outside), and the slices of each row's cells in
+    columns b..b+254."""
+    cuts = list(map(slice, range(0, n * n, n), range(n, n * n + 1, n)))
+    blocks = range(0, n, 255)
+    digits = [
+        b"\xff" * b + bytes(range(255)) + b"\xff" * max(0, n - b - 255) for b in blocks
+    ]
+    pieces = [
+        list(map(slice, range(b, n * n, n), range(min(n, b + 255), n * n + 1, n)))
+        for b in blocks
+    ]
+    return cuts, digits, pieces
 
 
 @dataclass(frozen=True)
@@ -209,11 +263,10 @@ class BckAlgebra:
     def _commuting(self) -> CommutingReport:
         t = self.table.rows
         n = self.order
+        # over y, x^y = y*(y*x) reads column x and y^x = x*(x*y) reads row x
         count = 0
-        for x in range(n):
-            for y in range(n):
-                if t[y][t[y][x]] == t[x][t[x][y]]:
-                    count += 1
+        for tx, col in zip(t, zip(*t)):
+            count += sum(map(eq, map(tx.__getitem__, tx), map(getitem, t, col)))
         return CommutingReport(n, count, Fraction(count, n * n))
 
     def commuting_report(self) -> CommutingReport:
