@@ -25,7 +25,7 @@ pure function of its inputs, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import eq, getitem
@@ -181,7 +181,7 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
-@cache
+@lru_cache(maxsize=8)
 def _layout(n: int) -> tuple[list[slice], list[bytes], list[list[slice]]]:
     """For a flat n-by-n table: the slices of its rows; per block of 255
     values starting at b, the map from a value v to its digit (v - b
