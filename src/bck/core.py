@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import eq, getitem
 
 
 _from = int.from_bytes
@@ -71,18 +70,22 @@ class CayleyTable:
         n = len(rows)
         if n == 0:
             raise FormatError("table must have at least one row")
-        for x, row in enumerate(rows):
-            if len(row) != n:
-                raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
-            if {int}.issuperset(map(type, row)) and min(row) >= 0 and max(row) < n:
-                continue
-            for y, v in enumerate(row):  # name the first offending entry
-                if type(v) is not int:
-                    raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
-                if not 0 <= v < n:
-                    raise FormatError(
-                        f"entry {v} at ({x},{y}) out of range 0..{n - 1}"
-                    )
+        cells = chain.from_iterable
+        if not (
+            all(map(n.__eq__, map(len, rows)))
+            and {int}.issuperset(map(type, cells(rows)))
+            and set(range(n)).issuperset(cells(rows))
+        ):
+            for x, row in enumerate(rows):  # name the first offending row or entry
+                if len(row) != n:
+                    raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
+                for y, v in enumerate(row):
+                    if type(v) is not int:
+                        raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
+                    if not 0 <= v < n:
+                        raise FormatError(
+                            f"entry {v} at ({x},{y}) out of range 0..{n - 1}"
+                        )
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -263,10 +266,11 @@ class BckAlgebra:
     def _commuting(self) -> CommutingReport:
         t = self.table.rows
         n = self.order
-        # over y, x^y = y*(y*x) reads column x and y^x = x*(x*y) reads row x
         count = 0
-        for tx, col in zip(t, zip(*t)):
-            count += sum(map(eq, map(tx.__getitem__, tx), map(getitem, t, col)))
+        for x in range(n):
+            for y in range(n):
+                if t[y][t[y][x]] == t[x][t[x][y]]:
+                    count += 1
         return CommutingReport(n, count, Fraction(count, n * n))
 
     def commuting_report(self) -> CommutingReport:
