@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, compress, repeat
+from operator import countOf, getitem, mul, sub
 
 
 _from = int.from_bytes
@@ -70,22 +71,16 @@ class CayleyTable:
         n = len(rows)
         if n == 0:
             raise FormatError("table must have at least one row")
-        cells = chain.from_iterable
-        if not (
-            all(map(n.__eq__, map(len, rows)))
-            and {int}.issuperset(map(type, cells(rows)))
-            and set(range(n)).issuperset(cells(rows))
-        ):
-            for x, row in enumerate(rows):  # name the first offending row or entry
-                if len(row) != n:
-                    raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
-                for y, v in enumerate(row):
-                    if type(v) is not int:
-                        raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
-                    if not 0 <= v < n:
-                        raise FormatError(
-                            f"entry {v} at ({x},{y}) out of range 0..{n - 1}"
-                        )
+        for x, row in enumerate(rows):
+            if len(row) != n:
+                raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
+            for y, v in enumerate(row):
+                if type(v) is not int:
+                    raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
+                if not 0 <= v < n:
+                    raise FormatError(
+                        f"entry {v} at ({x},{y}) out of range 0..{n - 1}"
+                    )
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -115,18 +110,13 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     """The axiom check of :func:`find_violation` on raw rows (any n-by-n
     sequence of sequences), returning ``(axiom, witness)`` or None.
 
-    BCK1 is read as (x*y)*(x*z) <= z*y and checked over lanes: lane y of
-    an int is its byte y, holding 0 or 1.  For x and u = x*y, let
-    a = u*(x*z).  Row z of the table, translated through the 0/1 table of
-    "a*v != 0", has its lane y set exactly when (x, y, z) fails, for every
-    y with x*y = u.  So for each x and each value u of row x, the union of
-    these rows over the z with a != 0, masked to the lanes y with x*y = u,
-    is the set of failing y.  A value v is split into the block of 255
-    values holding it and its digit there, so that bytes.translate can map
-    it; a cell outside a block reads 255, which every table maps to 0.
-    Instances with u = 0 hold, since 0*w = 0 by BCK4, and so do those with
-    z = x, where a = u and u*u = 0 by BCK3; both are checked first.  Only
-    the least failing (x, y) is scanned over z, for the least witness.
+    BCK1 is read as (x*y)*(x*z) <= z*y.  Instances with u = x*y = 0 hold,
+    since 0*w = 0 by BCK4, which is checked first.  It is checked one of
+    two ways, with the same answer, whichever is estimated to read less:
+    :func:`_bck1_by_lanes` costs about one translated row of n bytes per
+    (x, x*y, z) with u*(x*z) != 0, so it is fast when rows hold few
+    distinct values; :func:`_bck1_by_columns` costs n reads per (x, y) and
+    per distinct x*y, whatever the values.
     """
     n = len(t)
     for x in range(n):
@@ -147,6 +137,57 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
         for y in range(n):
             if t[tx[tx[y]]][y] != 0:
                 return "BCK2", (x, y)
+    # Both paths give the same answer; take the one estimated to be cheaper.
+    # Costs count reads of one column cell, as measured on CPython 3.11: a
+    # translated row costs about 25, building a row of u*(x*z) about 5 per
+    # cell.  Row x holds len(set(t[x])) values u, and a z with x*z = x
+    # gives u*(x*z) = u*x = 0 when u <= x, so the lanes path translates
+    # about len(set(t[x])) * (n - count of x in row x) rows at most.
+    sizes = list(map(len, map(set, t)))
+    translates = sum(map(mul, sizes, map(sub, repeat(n), map(countOf, t, range(n)))))
+    reads = n * (5 * sum(sizes) + n * n - sum(map(countOf, t, repeat(0))))
+    if 25 * translates > reads:
+        return _bck1_by_columns(t)
+    return _bck1_by_lanes(t)
+
+
+def _bck1_by_columns(t) -> tuple[str, tuple[int, ...]] | None:
+    """BCK1 over z in C: for each x, the rows of u*(x*z) are built once
+    per distinct u = x*y and compared with column y.  Only a failing
+    (x, y) is scanned over z, for the least witness."""
+    n = len(t)
+    cols = list(zip(*t))
+    for x in range(n):
+        tx = t[x]
+        lefts = {}
+        for y in range(n):
+            u = tx[y]
+            if u == 0:
+                continue
+            left = lefts.get(u)
+            if left is None:
+                left = lefts[u] = tuple(map(t.__getitem__, map(t[u].__getitem__, tx)))
+            if any(map(getitem, left, cols[y])):
+                values = map(getitem, left, cols[y])
+                return "BCK1", (x, y, next(z for z, v in enumerate(values) if v))
+    return None
+
+
+def _bck1_by_lanes(t) -> tuple[str, tuple[int, ...]] | None:
+    """BCK1 over lanes: lane y of an int is its byte y, holding 0 or 1.
+
+    For x, u = x*y and a = u*(x*z), row z of the table, translated through
+    the 0/1 table of "a*v != 0", has its lane y set exactly when (x, y, z)
+    fails, for every y with x*y = u.  So for each x and each value u of
+    row x, the union of these rows over the z with a != 0, masked to the
+    lanes y with x*y = u, is the set of failing y.  A value v is split
+    into the block of 255 values holding it and its digit there, so that
+    bytes.translate can map it; a cell outside a block reads 255, which
+    every table maps to 0.  Instances with z = x hold, since a = u and
+    u*u = 0 by BCK3.  Only the least failing (x, y) is scanned over z, for
+    the least witness.
+    """
+    n = len(t)
     cuts, digits, pieces = _layout(n)
     flats = [bytes(map(d.__getitem__, chain.from_iterable(t))) for d in digits]
     # rows[i][z]: row z as digits of block i; nonzero[i][a]: the table

@@ -122,6 +122,12 @@ def _assert_checker_agrees(rows):
     assert (None if found is None else (found.axiom, found.witness)) == want, rows
     assert core._first_violation(rows) == want, rows
     assert core._first_violation([list(row) for row in rows]) == want, rows
+    # both BCK1 paths, whichever the cost estimate would pick, once the
+    # axioms checked before BCK1 hold
+    if want is None or want[0] == "BCK1":
+        for raw in (rows, [list(row) for row in rows]):
+            assert core._bck1_by_lanes(raw) == want, rows
+            assert core._bck1_by_columns(raw) == want, rows
 
 
 def _one_cell_changes(rows):
@@ -299,6 +305,55 @@ def test_bck1_witness_past_the_byte_boundary(n):
 
 
 # --- order, meet, commuting ------------------------------------------------
+
+
+def _bounded_chain_rows(n):
+    # x*y = max(x - y, 0): row x holds x + 1 distinct values
+    return tuple(tuple(max(x - y, 0) for y in range(n)) for x in range(n))
+
+
+def _product_rows(a, b):
+    m = len(b)
+    n = len(a) * m
+    return tuple(
+        tuple(a[x // m][y // m] * m + b[x % m][y % m] for y in range(n)) for x in range(n)
+    )
+
+
+def test_checker_agrees_with_the_oracle_on_tables_with_many_values_per_row():
+    rng = random.Random(10)
+    tail = rng.sample(range(1, 41), 40)
+    tables = (
+        _bounded_chain_rows(40),
+        oracle.relabeled(_bounded_chain_rows(41), (0, *tail)),
+        _product_rows(_bounded_chain_rows(6), _bounded_chain_rows(7)),
+    )
+    fired = set()
+    for rows in tables:
+        _assert_checker_agrees(rows)
+        assert oracle.first_violation(rows) is None
+        for _ in range(10):
+            corrupted = _corrupted(rng, rows, "late")
+            _assert_checker_agrees(corrupted)
+            found = oracle.first_violation(corrupted)
+            fired.add(None if found is None else found[0])
+    assert {"BCK2", "BCK1"} <= fired
+
+
+def test_bck1_path_follows_the_values_per_row(monkeypatch):
+    # a chain has many distinct values per row and takes the column scans;
+    # a union of small parts has few and takes the lanes
+    taken = []
+    for name in ("_bck1_by_columns", "_bck1_by_lanes"):
+        check = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda t, check=check, name=name: taken.append(name) or check(t)
+        )
+    parts = [rows for n in (2, 3) for rows in
+             oracle.group_into_classes(oracle.all_valid_tables(n))]
+    assert core._first_violation(_bounded_chain_rows(60)) is None
+    assert core._first_violation(_grown_rows(random.Random(60), parts, 60)) is None
+    assert taken == ["_bck1_by_columns", "_bck1_by_lanes"]
 
 
 def test_leq_from_the_fixed_tables():
