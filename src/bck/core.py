@@ -25,10 +25,10 @@ pure function of its inputs, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import countOf, getitem, mul, sub
+from operator import getitem
 
 
 _from = int.from_bytes
@@ -111,12 +111,12 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     sequence of sequences), returning ``(axiom, witness)`` or None.
 
     BCK1 is read as (x*y)*(x*z) <= z*y.  Instances with u = x*y = 0 hold,
-    since 0*w = 0 by BCK4, which is checked first.  It is checked one of
-    two ways, with the same answer, whichever is estimated to read less:
-    :func:`_bck1_by_lanes` costs about one translated row of n bytes per
-    (x, x*y, z) with u*(x*z) != 0, so it is fast when rows hold few
-    distinct values; :func:`_bck1_by_columns` costs n reads per (x, y) and
-    per distinct x*y, whatever the values.
+    since 0*w = 0 by BCK4, which is checked first.  BCK1 is checked one of
+    two ways, with the same answer, whichever is estimated to cost less:
+    :func:`_bck1_by_lanes` translates about one row per (x, x*y, z) with
+    u*(x*z) != 0, so it is fast when each x has few z with x*z != x, as in
+    unions of small parts; :func:`_bck1_by_columns` reads n cells per
+    nonzero x*y, whatever the table, and is faster on chains.
     """
     n = len(t)
     for x in range(n):
@@ -137,16 +137,19 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
         for y in range(n):
             if t[tx[tx[y]]][y] != 0:
                 return "BCK2", (x, y)
-    # Both paths give the same answer; take the one estimated to be cheaper.
-    # Costs count reads of one column cell, as measured on CPython 3.11: a
-    # translated row costs about 25, building a row of u*(x*z) about 5 per
-    # cell.  Row x holds len(set(t[x])) values u, and a z with x*z = x
-    # gives u*(x*z) = u*x = 0 when u <= x, so the lanes path translates
-    # about len(set(t[x])) * (n - count of x in row x) rows at most.
-    sizes = list(map(len, map(set, t)))
-    translates = sum(map(mul, sizes, map(sub, repeat(n), map(countOf, t, range(n)))))
-    reads = n * (5 * sum(sizes) + n * n - sum(map(countOf, t, repeat(0))))
-    if 25 * translates > reads:
+    # Take the path estimated to cost less; both give the same answer.
+    # Costs count reads of one column cell: at orders 100-200 a translated
+    # row costs about 25, building a row of u*(x*z) about 5 per cell.  For
+    # row x, with d distinct values and m elements z with x*z != x, the
+    # lanes path makes at most d * m translates (in an algebra u*x = 0 for
+    # u = x*y, so only those z give u*(x*z) != 0), and the column path
+    # builds up to d rows and reads n cells per nonzero x*y.
+    translates = reads = 0
+    for x, row in enumerate(t):
+        d = len(set(row))
+        translates += d * (n - row.count(x))
+        reads += 5 * d + n - row.count(0)
+    if 25 * translates > n * reads:
         return _bck1_by_columns(t)
     return _bck1_by_lanes(t)
 
@@ -225,7 +228,6 @@ def _bck1_by_lanes(t) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
-@lru_cache(maxsize=8)
 def _layout(n: int) -> tuple[list[slice], list[bytes], list[list[slice]]]:
     """For a flat n-by-n table: the slices of its rows; per block of 255
     values starting at b, the map from a value v to its digit (v - b

@@ -340,9 +340,10 @@ def test_checker_agrees_with_the_oracle_on_tables_with_many_values_per_row():
     assert {"BCK2", "BCK1"} <= fired
 
 
-def test_bck1_path_follows_the_values_per_row(monkeypatch):
-    # a chain has many distinct values per row and takes the column scans;
-    # a union of small parts has few and takes the lanes
+def test_bck1_path_follows_the_estimated_cost(monkeypatch):
+    # in a chain x*z != x for every z above 0, so it takes the column scans;
+    # in a union of small parts only x's part-mates and the tops above x
+    # have x*z != x, so it takes the lanes
     taken = []
     for name in ("_bck1_by_columns", "_bck1_by_lanes"):
         check = getattr(core, name)
