@@ -4,7 +4,9 @@ Isomorphisms are relabelings fixing 0 (the constant must map to itself).
 The canonical form of an algebra is the lexicographically least flattened
 table over all such relabelings, so two algebras are isomorphic exactly
 when their canonical forms coincide; this brute-force definition is the
-right tool at enumeration scale, where (n-1)! stays tiny.
+right tool at enumeration scale, where (n-1)! stays tiny.  Each candidate
+costs two C calls, a ``bytes.translate`` of the values and a precomputed
+``operator.itemgetter`` over the cells, not n*n Python steps.
 
 Enumeration builds the catalog level by level: every algebra of order n
 contains a subalgebra of order n-1, so each isomorphism class of order n
@@ -25,7 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import islice, permutations
+from operator import itemgetter
 
 from .construct import m_chain
 from .core import BckAlgebra, CayleyTable, _first_violation, validate
@@ -53,30 +56,41 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
 
 
 @cache
-def _perms_fixing_zero(n: int) -> tuple[tuple[Flat, Flat], ...]:
-    """All (sigma, rows-of-sigma-inverse) pairs with sigma(0) = 0."""
+def _perms_fixing_zero(n: int) -> tuple[tuple[itemgetter, bytes], ...]:
+    """A (gather, value table) pair per non-identity sigma with sigma(0) = 0.
+
+    The relabeled table holds sigma(t[x][y]) at cell (sigma(x), sigma(y)),
+    so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
+    gather picks those n*n positions in row-major order, and the value
+    table maps each byte v < n to sigma(v) for ``bytes.translate``.
+    """
     pairs = []
-    for tail in permutations(range(1, n)):
+    for tail in islice(permutations(range(1, n)), 1, None):
         sigma = (0,) + tail
         inverse = [0] * n
         for i, image in enumerate(sigma):
             inverse[image] = i
-        inv_rows = tuple(i * n for i in inverse)
-        pairs.append((sigma, inv_rows + tuple(inverse)))
+        gather = itemgetter(
+            *[inverse[i] * n + inverse[j] for i in range(n) for j in range(n)]
+        )
+        pairs.append((gather, bytes(sigma) + bytes(range(n, 256))))
     return tuple(pairs)
 
 
 def _canonical_flat(flat: Flat, n: int) -> Flat:
-    """Lexicographic minimum of the flattened table over 0-fixing relabelings."""
-    best = flat
-    for sigma, inv in _perms_fixing_zero(n):
-        # inv packs n row offsets followed by the inverse permutation
-        cand = tuple(
-            sigma[flat[inv[i] + inv[n + j]]] for i in range(n) for j in range(n)
-        )
+    """Lexicographic minimum of the flattened table over 0-fixing relabelings.
+
+    Each candidate is built by a few C calls on the table as bytes: a
+    translate of its values through sigma, a gather of its cells into
+    relabeled order, and ``bytes`` over the gathered ints.  Bytes compare
+    as the tuples of their values do.
+    """
+    table = best = bytes(flat)
+    for gather, values in _perms_fixing_zero(n):
+        cand = bytes(gather(table.translate(values)))
         if cand < best:
             best = cand
-    return best
+    return tuple(best)
 
 
 def canonical_form(algebra: BckAlgebra) -> CayleyTable:
@@ -98,15 +112,11 @@ def canonical_form(algebra: BckAlgebra) -> CayleyTable:
 
 def _signatures(table: CayleyTable) -> list[tuple[int, int, int]]:
     """Per-element relabel-invariant keys: up-set size, down-set size, fixers."""
-    t = table.rows
-    n = table.order
-    sigs = []
-    for x in range(n):
-        upset = sum(1 for y in range(n) if t[x][y] == 0)
-        downset = sum(1 for y in range(n) if t[y][x] == 0)
-        fixed = sum(1 for y in range(n) if t[x][y] == x)
-        sigs.append((upset, downset, fixed))
-    return sigs
+    rows = table.rows
+    return [
+        (row.count(0), col.count(0), row.count(x))
+        for x, (row, col) in enumerate(zip(rows, zip(*rows)))
+    ]
 
 
 def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:

@@ -172,6 +172,12 @@ def related(rows_a: Rows, rows_b: Rows) -> bool:
     )
 
 
+def canonical_flat(rows: Rows) -> Rows:
+    """The least relabeled table over every 0-fixing permutation; any table."""
+    n = len(rows)
+    return min(relabeled(rows, (0,) + tail) for tail in permutations(range(1, n)))
+
+
 def group_into_classes(tables: list[Rows]) -> list[Rows]:
     reps: list[Rows] = []
     for rows in tables:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bck import classify, core
 from bck.classify import (
@@ -75,6 +77,39 @@ def test_canonical_form_is_relabel_invariant():
         assert canonical_form(shuffled) == canonical_form(algebra)
 
 
+@given(st.data())
+def test_canonical_form_is_invariant_under_random_relabelings(data):
+    n = data.draw(st.integers(2, 6))
+    algebra = data.draw(st.sampled_from(enumerate_algebras(n)))
+    tail = data.draw(st.permutations(range(1, n)))
+    shuffled = validate(relabel(algebra.table, (0, *tail)))
+    assert canonical_form(shuffled) == canonical_form(algebra)
+
+
+def _flat(rows):
+    return tuple(v for row in rows for v in row)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_flat_matches_the_oracle_on_every_valid_table(n):
+    for rows in oracle.pruned_valid_tables(n):
+        assert classify._canonical_flat(_flat(rows), n) == _flat(
+            oracle.canonical_flat(rows)
+        )
+
+
+@pytest.mark.parametrize("n, count", [(6, 20), (7, 6)])
+def test_canonical_flat_matches_the_oracle_on_arbitrary_tables(n, count):
+    # random cells, axioms or not: the canonical form is a function of any
+    # table, not only of BCK tables
+    rng = random.Random(n)
+    for _ in range(count):
+        rows = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        assert classify._canonical_flat(_flat(rows), n) == _flat(
+            oracle.canonical_flat(rows)
+        )
+
+
 def test_canonical_form_identifies_the_chain_extension():
     assert canonical_form(extend_top(TWO)) == canonical_form(PI)
 
@@ -120,6 +155,22 @@ def test_witnesses_relabel_source_to_target():
         witness = find_isomorphism(algebra, shuffled)
         assert witness is not None
         assert relabel(algebra.table, witness) == shuffled.table
+
+
+def test_signatures_count_up_sets_down_sets_and_fixers():
+    # their order sets find_isomorphism's candidate order, and so which
+    # witness it returns first
+    for algebra in corpus(5):
+        t = algebra.table.rows
+        r = range(algebra.order)
+        assert classify._signatures(algebra.table) == [
+            (
+                sum(t[x][y] == 0 for y in r),
+                sum(t[y][x] == 0 for y in r),
+                sum(t[x][y] == x for y in r),
+            )
+            for x in r
+        ]
 
 
 def test_distinct_enumerated_classes_are_not_isomorphic():
