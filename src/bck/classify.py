@@ -5,8 +5,8 @@ The canonical form of an algebra is the lexicographically least flattened
 table over all such relabelings, so two algebras are isomorphic exactly
 when their canonical forms coincide; this brute-force definition is the
 right tool at enumeration scale, where (n-1)! stays tiny.  Each candidate
-costs two C calls, a ``bytes.translate`` of the values and a precomputed
-``operator.itemgetter`` over the cells, not n*n Python steps.
+costs a few C calls, a ``bytes.translate`` of the values, a precomputed
+``operator.itemgetter`` over the cells and ``bytes``, not n*n Python steps.
 
 Enumeration builds the catalog level by level: every algebra of order n
 contains a subalgebra of order n-1, so each isomorphism class of order n
@@ -62,7 +62,9 @@ def _perms_fixing_zero(n: int) -> tuple[tuple[itemgetter, bytes], ...]:
     The relabeled table holds sigma(t[x][y]) at cell (sigma(x), sigma(y)),
     so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
     gather picks those n*n positions in row-major order, and the value
-    table maps each byte v < n to sigma(v) for ``bytes.translate``.
+    table maps each byte v < n to sigma(v) for ``bytes.translate``.  The
+    identity is left out: the search starts from the table itself, and at
+    order 1 its one-cell gather would return a bare int.
     """
     pairs = []
     for tail in islice(permutations(range(1, n)), 1, None):
