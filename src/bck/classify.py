@@ -56,17 +56,18 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
 
 
 @cache
-def _perms_fixing_zero(n: int) -> tuple[tuple[itemgetter, bytes], ...]:
-    """A (gather, value table) pair per non-identity sigma with sigma(0) = 0.
+def _perms_fixing_zero(n: int) -> tuple[tuple[tuple[itemgetter, bytes], ...], ...]:
+    """(gather, value table) pairs per non-identity sigma with sigma(0) = 0,
+    grouped by sigma^-1(1): group a holds the sigmas that relabel a as 1.
 
     The relabeled table holds sigma(t[x][y]) at cell (sigma(x), sigma(y)),
     so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
     gather picks those n*n positions in row-major order, and the value
     table maps each byte v < n to sigma(v) for ``bytes.translate``.  The
     identity is left out: the search starts from the table itself, and at
-    order 1 its one-cell gather would return a bare int.
+    order 1 its one-cell gather would return a bare int.  Group 0 is empty.
     """
-    pairs = []
+    groups: list[list[tuple[itemgetter, bytes]]] = [[] for _ in range(n)]
     for tail in islice(permutations(range(1, n)), 1, None):
         sigma = (0,) + tail
         inverse = [0] * n
@@ -75,8 +76,8 @@ def _perms_fixing_zero(n: int) -> tuple[tuple[itemgetter, bytes], ...]:
         gather = itemgetter(
             *[inverse[i] * n + inverse[j] for i in range(n) for j in range(n)]
         )
-        pairs.append((gather, bytes(sigma) + bytes(range(n, 256))))
-    return tuple(pairs)
+        groups[inverse[1]].append((gather, bytes(sigma) + bytes(range(n, 256))))
+    return tuple(map(tuple, groups))
 
 
 def _canonical_flat(flat: Flat, n: int) -> Flat:
@@ -86,19 +87,37 @@ def _canonical_flat(flat: Flat, n: int) -> Flat:
     translate of its values through sigma, a gather of its cells into
     relabeled order, and ``bytes`` over the gathered ints.  Bytes compare
     as the tuples of their values do.
+
+    Only the relabelings that send a row with the most zeros to row 1 are
+    tried, when row 0 is all zero, x*0 = x and x*x = 0 (every BCK table).
+    Then every candidate has the same row 0, and the candidate of sigma
+    with sigma(a) = 1 has row 1 = ``1, 0`` followed by one zero per y other
+    than 0 and a with a*y = 0.  If some row a' has more zeros than row a,
+    a relabeling that sends a' to 1 and those y to 2, 3, ... puts a zero
+    where every candidate of a has its first nonzero cell after position 1,
+    so it is strictly smaller.  Any other table tries every relabeling.
     """
     table = best = bytes(flat)
-    for gather, values in _perms_fixing_zero(n):
-        cand = bytes(gather(table.translate(values)))
-        if cand < best:
-            best = cand
+    groups = _perms_fixing_zero(n)
+    if table[:n] == bytes(n) == table[:: n + 1] and table[::n] == bytes(range(n)):
+        zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
+        most = max(zeros, default=0)
+        groups = [groups[a] for a, z in enumerate(zeros, 1) if z == most]
+    for group in groups:
+        for gather, values in group:
+            cand = bytes(gather(table.translate(values)))
+            if cand < best:
+                best = cand
     return tuple(best)
 
 
 def canonical_form(algebra: BckAlgebra) -> CayleyTable:
     """The canonical table of the algebra's isomorphism class.
 
-    Cost grows factorially with the order; use :func:`find_isomorphism`
+    This is the lexicographically least row-major table over all 0-fixing
+    relabelings; only those that relabel a row with the most zeros as row 1
+    can reach it, so only they are tried (see ``_canonical_flat``).  Cost
+    still grows factorially with the order; use :func:`find_isomorphism`
     for pairwise tests on larger algebras.
     """
     n = algebra.order
@@ -372,6 +391,8 @@ def verify_unique_minimum(n: int, budget: int | None = None) -> UniqueMinimumRep
     the chain algebra.  Raises if the count differs from one or no witness
     exists, since either outcome would falsify the uniqueness claim.
     """
+    if n < 2:
+        raise ValueError(f"verify_unique_minimum requires order >= 2, got {n}")
     degree = Fraction(3 * n - 2, n * n)
     hits = [
         a

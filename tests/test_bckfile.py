@@ -1,6 +1,8 @@
 """The .bck table format and DOT emission."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bck import classify
 from bck.bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck
@@ -17,6 +19,46 @@ def test_round_trip_over_small_corpus():
     algebras += [e.algebra for e in family(7).entries]
     for algebra in algebras:
         assert parse_bck(emit_bck(algebra.table)) == algebra.table
+
+
+@given(
+    st.integers(1, 12),
+    st.binary(min_size=144, max_size=144),
+    st.lists(st.text(st.characters(exclude_characters="\r\n")), max_size=2),
+)
+def test_parse_inverts_emit_on_any_table(n, cells, comments):
+    # any square table in range, axioms or not, with any one-line comments
+    table = CayleyTable(
+        tuple(tuple(v % n for v in cells[x * n : (x + 1) * n]) for x in range(n))
+    )
+    assert parse_bck(emit_bck(table, comments)) == table
+
+
+# a header, an order line and rows near the format, so that drawn texts
+# also reach the order and row parsers
+_NEAR_BCK_TEXTS = st.tuples(
+    st.sampled_from(["2", "1", "3", "02", "0", "+2", "\u0662", "2\r"]),
+    st.lists(
+        st.one_of(
+            st.sampled_from(
+                ["0 0", "1 0", "0 1", "0 2", "0 0 0", "1 0 0", "0 1 x", "-1 0", "1_0 0",
+                 "\u0663 0", "00 01", " 0  0 ", "# c", "", "0", "9" * 5000]
+            ),
+            st.text(max_size=6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+).map(lambda parts: "\n".join(["bck 1", parts[0], *parts[1]]))
+
+
+@given(st.one_of(st.text(), _NEAR_BCK_TEXTS))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        table = parse_bck(text)
+    except ParseError:
+        return
+    assert parse_bck(emit_bck(table)) == table
 
 
 def test_round_trip_ignores_comments():

@@ -110,6 +110,37 @@ def test_canonical_flat_matches_the_oracle_on_arbitrary_tables(n, count):
         )
 
 
+def test_canonical_flat_prunes_exactly_beyond_bck_tables():
+    # tables with row 0 all zero, x*0 = x and x*x = 0 take the pruned path
+    # even when the other cells break every axiom; a copy with one of the
+    # three broken must take every relabeling.  Labeled order-7 extensions
+    # of order-6 classes are the tables enumeration feeds it; the oracle is
+    # the unpruned minimum over itertools.permutations.
+    rng = random.Random(17)
+    for n in range(4, 8):
+        for _ in range(8):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            for x in range(n):
+                rows[0][x] = rows[x][x] = 0
+                rows[x][0] = x
+            broken = [row[:] for row in rows]
+            x, y = rng.sample(range(1, n), 2)
+            cell = rng.choice([(0, x), (x, 0), (x, x)])
+            broken[cell[0]][cell[1]] = y
+            for t in rows, broken:
+                assert classify._canonical_flat(_flat(t), n) == _flat(
+                    oracle.canonical_flat(tuple(map(tuple, t)))
+                )
+    extensions = [
+        flat
+        for base in rng.sample(enumerate_algebras(6), 3)
+        for flat in classify._extensions(base.table.rows)
+    ]
+    for flat in rng.sample(extensions, 40):
+        rows = tuple(flat[x * 7 : (x + 1) * 7] for x in range(7))
+        assert classify._canonical_flat(flat, 7) == _flat(oracle.canonical_flat(rows))
+
+
 def test_canonical_form_identifies_the_chain_extension():
     assert canonical_form(extend_top(TWO)) == canonical_form(PI)
 
@@ -278,10 +309,36 @@ LEVEL_DIGESTS = {
 }
 
 
+def _level_digest(flats):
+    text = "\n".join(" ".join(map(str, flat)) for flat in flats)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n", sorted(LEVEL_DIGESTS))
 def test_enumerated_levels_are_byte_identical(n):
-    text = "\n".join(" ".join(map(str, a.table.flat())) for a in enumerate_algebras(n))
-    assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_DIGESTS[n]
+    assert _level_digest(a.table.flat() for a in enumerate_algebras(n)) == LEVEL_DIGESTS[n]
+
+
+ORDER_7_DIGEST = "c0ead06a0de81752af0f9edaa3883995f5bdc67b4150371558a0a95554338ed2"
+# classes per commuting-degree numerator over 49
+ORDER_7_CENSUS = {
+    19: 1, 21: 20, 23: 136, 25: 408, 27: 836, 29: 1164, 31: 1357, 33: 1331,
+    35: 1101, 37: 952, 39: 714, 41: 504, 43: 303, 45: 190, 47: 81, 49: 72,
+}
+
+
+@pytest.mark.order7
+def test_order_seven_level_census_and_worker_counts():
+    # outside the default run: python -m pytest -m order7
+    with pytest.warns(UserWarning, match="unvalidated"):
+        algebras = enumerate_algebras(7, budget=7)
+    flats = [a.table.flat() for a in algebras]
+    assert len(flats) == 9170
+    assert _level_digest(flats) == ORDER_7_DIGEST
+    with pytest.warns(UserWarning, match="unvalidated"):
+        census = degree_census(7, budget=7)
+    assert census == {Fraction(k, 49): c for k, c in ORDER_7_CENSUS.items()}
+    assert list(classify._extend_level(classify._level(6), jobs=2)) == flats
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -417,6 +474,12 @@ def test_unique_minimum_reports_with_witnesses():
         assert relabel(report.representative.table, report.witness) == m_chain(
             n
         ).table
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_unique_minimum_rejects_orders_below_two(n):
+    with pytest.raises(ValueError, match="order >= 2"):
+        verify_unique_minimum(n)
 
 
 # --- subalgebras -------------------------------------------------------------
