@@ -3,10 +3,12 @@
 Isomorphisms are relabelings fixing 0 (the constant must map to itself).
 The canonical form of an algebra is the lexicographically least flattened
 table over all such relabelings, so two algebras are isomorphic exactly
-when their canonical forms coincide; this brute-force definition is the
-right tool at enumeration scale, where (n-1)! stays tiny.  Each candidate
-costs a few C calls, a ``bytes.translate`` of the values, a precomputed
-``operator.itemgetter`` over the cells and ``bytes``, not n*n Python steps.
+when their canonical forms coincide.  The minimum is found over a table of
+the (n-1)! relabelings, which is affordable at enumeration scale: only
+those that relabel a row with the most zeros as 1 can win on a BCK table,
+so only they are tried.  Each candidate costs a few C calls, a
+``bytes.translate`` of the values, a precomputed ``operator.itemgetter``
+over the cells and ``bytes``, not n*n Python steps.
 
 Enumeration builds the catalog level by level: every algebra of order n
 contains a subalgebra of order n-1, so each isomorphism class of order n

@@ -21,10 +21,22 @@ def test_round_trip_over_small_corpus():
         assert parse_bck(emit_bck(algebra.table)) == algebra.table
 
 
+# characters of each kind the parser tells apart: ASCII digits, the
+# header's letters, signs, "#", the whitespace str.split() breaks rows on,
+# LF and CR, digits that are not ASCII, a lone surrogate and an emoji;
+# hypothesis's full unicode tables take about 2 s to build on a fresh
+# checkout and reach no other branch
+_LINE_CHARS = (
+    "0123456789bck#+-_ \t\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+    "\u0663\u00b2\u2460\U0001d7d8\ud800\U0001f44d"
+)
+_CHARS = st.sampled_from(_LINE_CHARS + "\n\r")
+
+
 @given(
     st.integers(1, 12),
     st.binary(min_size=144, max_size=144),
-    st.lists(st.text(st.characters(exclude_characters="\r\n")), max_size=2),
+    st.lists(st.text(st.sampled_from(_LINE_CHARS), max_size=8), max_size=2),
 )
 def test_parse_inverts_emit_on_any_table(n, cells, comments):
     # any square table in range, axioms or not, with any one-line comments
@@ -44,7 +56,7 @@ _NEAR_BCK_TEXTS = st.tuples(
                 ["0 0", "1 0", "0 1", "0 2", "0 0 0", "1 0 0", "0 1 x", "-1 0", "1_0 0",
                  "\u0663 0", "00 01", " 0  0 ", "# c", "", "0", "9" * 5000]
             ),
-            st.text(max_size=6),
+            st.text(_CHARS, max_size=6),
         ),
         min_size=1,
         max_size=4,
@@ -52,7 +64,7 @@ _NEAR_BCK_TEXTS = st.tuples(
 ).map(lambda parts: "\n".join(["bck 1", parts[0], *parts[1]]))
 
 
-@given(st.one_of(st.text(), _NEAR_BCK_TEXTS))
+@given(st.one_of(st.text(_CHARS, max_size=40), _NEAR_BCK_TEXTS))
 def test_parse_raises_only_parse_errors(text):
     try:
         table = parse_bck(text)
