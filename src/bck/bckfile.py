@@ -22,6 +22,15 @@ from collections.abc import Iterable
 from .core import BckAlgebra, CayleyTable
 
 HEADER = "bck 1"
+_EXCERPT = 20  # characters of an offending text that a message repeats
+
+
+def _excerpt(text: str) -> str:
+    """The text as a message repeats it: quoted, and cut to a short prefix
+    with its length when it is longer."""
+    if len(text) <= _EXCERPT:
+        return repr(text)
+    return f"{text[:_EXCERPT]!r}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):
@@ -51,10 +60,13 @@ def parse_bck(text: str) -> CayleyTable:
         raise ParseError(1, f"expected header {HEADER!r}")
     if len(lines) < 2:
         raise ParseError(2, "missing order line")
+    order = lines[1]
+    if not (order.isascii() and order.isdigit()):
+        raise ParseError(2, f"order is not a decimal integer: {_excerpt(order)}")
     try:
-        n = parse_decimal(lines[1])
-    except ValueError:
-        raise ParseError(2, f"order is not a decimal integer: {lines[1]!r}") from None
+        n = int(order.lstrip("0") or "0")
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise ParseError(2, f"order too large: {_excerpt(order)}") from None
     if n < 1:
         raise ParseError(2, f"order must be positive, got {n}")
     rows = []
@@ -80,23 +92,25 @@ def parse_bck(text: str) -> CayleyTable:
         # a malformed row is read cell by cell, to name the offending entry
         row = []
         for y, part in enumerate(parts):
-            try:
-                v = parse_decimal(part)
-            except ValueError:
+            if not (part.isascii() and part.isdigit()):
                 raise ParseError(
-                    line_no, f"non-numeric entry {part!r} at row {x + 1}"
-                ) from None
-            if not 0 <= v < n:
+                    line_no, f"non-numeric entry {_excerpt(part)} at row {x + 1}"
+                )
+            digits = part.lstrip("0") or "0"
+            # more digits than n has is a value above n, whatever int() allows
+            v = int(digits) if len(digits) <= len(str(n)) else n
+            if v >= n:
+                shown = digits if len(digits) <= _EXCERPT else _excerpt(part)
                 raise ParseError(
                     line_no,
-                    f"entry {v} out of range 0..{n - 1} at row {x + 1}, "
+                    f"entry {shown} out of range 0..{n - 1} at row {x + 1}, "
                     f"column {y + 1}",
                 )
             row.append(v)
         rows.append(tuple(row))
     for extra, line in enumerate(lines[2 + n :], start=3 + n):
         if line and not line.startswith("#"):
-            raise ParseError(extra, f"unexpected content after table: {line!r}")
+            raise ParseError(extra, f"unexpected content after table: {_excerpt(line)}")
     return CayleyTable(tuple(rows))
 
 

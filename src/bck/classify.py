@@ -15,8 +15,10 @@ contains a subalgebra of order n-1, so each isomorphism class of order n
 shows up as a one-element extension of some canonical representative of
 order n-1.  The new element e's column, then its row, is filled cell by
 cell, each cell (x, y) taking only values v with v*x = 0 or v = e, with
-incremental axiom checks; completed tables get a final full validation,
-and classes are deduplicated via canonical forms.
+incremental axiom checks.  The base is a valid, closed algebra, so only
+instances through e can fail: a completed table gets a final check of
+its BCK1 instances through e, and classes are deduplicated via canonical
+forms.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -29,11 +31,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, permutations
-from operator import itemgetter
+from itertools import chain, islice, permutations
+from operator import getitem, itemgetter
 
 from .construct import m_chain
-from .core import BckAlgebra, CayleyTable, _first_violation, validate
+from .core import BckAlgebra, CayleyTable, validate
 
 DEFAULT_ENUM_BUDGET = 6
 _CANONICAL_ORDER_LIMIT = 10
@@ -226,13 +228,15 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
 
     (x, y) lies in the last row or column, e = n-1, and the other cells
     outside them hold a valid base.  Unknown cells hold -1; instances that
-    still involve one are skipped (the completed table gets a full
-    validation later).  Sound pruning: only definite violations reject a
-    branch.
+    still involve one are skipped (the completed table's BCK1 instances
+    through e get a final check in ``_leaf_ok``).  Sound pruning: only
+    definite violations reject a branch.
     """
     n = len(t)
-    v = t[x][y]
-    if v == 0 and x != y and t[y][x] == 0:
+    tx = t[x]
+    ty = t[y]
+    v = tx[y]
+    if v == 0 and x != y and ty[x] == 0:
         return False  # BCK5
     # BCK2 at (p, q) reads (p, q), (p, p*q) and ((p*(p*q)), q); with p and q
     # both below e it reads only the valid base and holds
@@ -245,31 +249,78 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
                     return False  # BCK2 at (q, y)
     else:
         for q in range(n):
-            r = t[x][q]
+            r = tx[q]
             if r >= 0:
-                s = t[x][r]
+                s = tx[r]
                 if s >= 0 and t[s][q] > 0:
                     return False  # BCK2 at (x, q)
+    tv = t[v]
     for z in range(n):
-        a = t[x][y]
-        b = t[x][z]
-        d = t[z][y]
+        tz = t[z]
+        b = tx[z]
+        d = tz[y]
         if b >= 0 and d >= 0:
-            c = t[a][b]
+            c = tv[b]
             if c >= 0 and t[c][d] > 0:
                 return False  # BCK1 at (x, y, z)
-        a = t[x][z]
-        d = t[y][z]
-        if a >= 0 and d >= 0:
-            c = t[a][t[x][y]]
+        d = ty[z]
+        if b >= 0 and d >= 0:
+            c = t[b][v]
             if c >= 0 and t[c][d] > 0:
                 return False  # BCK1 at (x, z, y)
-        a = t[z][y]
-        b = t[z][x]
+        a = tz[y]
+        b = tz[x]
         if a >= 0 and b >= 0:
             c = t[a][b]
-            if c >= 0 and t[c][t[x][y]] > 0:
+            if c >= 0 and t[c][v] > 0:
                 return False  # BCK1 at (z, y, x)
+    return True
+
+
+def _leaf_ok(t: list[list[int]]) -> bool:
+    """Whether a table completed by ``_extensions`` satisfies BCK1 at every
+    instance with the new element e = n-1 among x, y and z.
+
+    These 3n^2 - 3n + 1 instances are all that can still fail:
+
+    - instances over x, y, z < e read only the valid, closed base;
+    - BCK3, BCK4 and x*0 = x hold by construction: e*e = 0, 0*e = 0 and
+      e*0 = e;
+    - BCK5 for the pair (x, e) is rejected by ``_partial_ok`` when cell
+      (e, x) is set;
+    - every BCK2 instance at (q, e) is determined when the last column cell
+      is set, and every one at (e, q) when the last row cell is set, and
+      ``_partial_ok`` scans all q there.
+
+    Only pass or fail is needed (a level is a sorted set), so no least
+    witness is sought.  BCK1 is read as (x*y)*(x*z) <= z*y, one row of
+    left-hand sides at a time against a row or column, in C as in
+    ``core._bck1_by_columns``.  Instances with x = 0, x = z or x*y = 0 hold.
+    """
+    e = len(t) - 1
+    cols = list(zip(*t))
+    te = t[e]
+    ce = cols[e]
+    rows = t.__getitem__
+    for x in range(1, e):
+        tx = t[x]
+        u = tx[e]
+        # z = e: ((x*y)*u)*(e*y) over y
+        if any(map(getitem, map(rows, map(cols[u].__getitem__, tx)), te)):
+            return False
+        # y = e: (u*(x*z))*(z*e) over z
+        if u and any(map(getitem, map(rows, map(t[u].__getitem__, tx)), ce)):
+            return False
+    # x = e: ((e*y)*(e*z))*(z*y) over z, one left row per distinct e*y
+    lefts = {}
+    for y in range(1, e):
+        u = te[y]
+        if u:
+            left = lefts.get(u)
+            if left is None:
+                left = lefts[u] = tuple(map(rows, map(t[u].__getitem__, te)))
+            if any(map(getitem, left, cols[y])):
+                return False
     return True
 
 
@@ -278,28 +329,45 @@ def _extensions(base: Rows) -> list[Flat]:
 
     The new element e = m gets its column, cells (x, e), filled first and
     then its row, cells (e, y).  A cell (x, y) takes only values v with
-    v*x = 0 (so that x*y <= x) or v = e, which keeps the branching narrow.
+    v*x = 0 (so that x*y <= x) or v = e, which keeps the branching narrow:
+    the column cells' values are read off the base once, and the row
+    cells', which share x = e, once per completed column.  Each set cell
+    is checked by ``_partial_ok``, and each completed table by
+    ``_leaf_ok``, which together cover every axiom instance that reads
+    row or column e.
     """
     m = e = len(base)
     t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
     t[0][e] = t[e][e] = 0
     t[e][0] = e
-    cells = [(x, e) for x in range(1, m)] + [(e, y) for y in range(1, m)]
+    column = [(x, [u for u in range(m) if base[u][x] == 0] + [e]) for x in range(1, m)]
+    row = t[e]
     found: list[Flat] = []
 
-    def fill(k: int) -> None:
-        if k == len(cells):
-            if _first_violation(t) is None:
-                found.append(tuple(v for row in t for v in row))
+    def fill_column(k: int) -> None:
+        if k == len(column):
+            fill_row(1, [u for u in range(m) if t[u][e] == 0] + [e])
             return
-        x, y = cells[k]
-        for v in [u for u in range(m) if t[u][x] == 0] + [e]:
-            t[x][y] = v
-            if _partial_ok(t, x, y):
-                fill(k + 1)
-        t[x][y] = -1
+        x, values = column[k]
+        tx = t[x]
+        for v in values:
+            tx[e] = v
+            if _partial_ok(t, x, e):
+                fill_column(k + 1)
+        tx[e] = -1
 
-    fill(0)
+    def fill_row(y: int, values: list[int]) -> None:
+        if y == e:
+            if _leaf_ok(t):
+                found.append(tuple(chain.from_iterable(t)))
+            return
+        for v in values:
+            row[y] = v
+            if _partial_ok(t, e, y):
+                fill_row(y + 1, values)
+        row[y] = -1
+
+    fill_column(0)
     return found
 
 

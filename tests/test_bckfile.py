@@ -123,12 +123,42 @@ def test_leading_zeros_are_read_as_decimal():
 
 @pytest.mark.parametrize("entry", ["1" * 5000, "\u0661", "\u00b2"])
 def test_entries_int_refuses_are_parse_errors_on_their_line(entry):
-    # int() refuses more than 4,300 digits; U+0661 and U+00B2 are digits
-    # to str.isdigit but not ASCII
+    # int() refuses more than 4,300 digits, a decimal above any order;
+    # U+0661 and U+00B2 are digits to str.isdigit but not ASCII
     with pytest.raises(ParseError) as info:
         parse_bck(f"bck 1\n3\n0 0 0\n1 0 {entry}\n2 2 0\n")
     assert info.value.line == 4
-    assert "non-numeric entry" in str(info.value)
+    reason = "out of range" if entry.isascii() else "non-numeric entry"
+    assert reason in str(info.value)
+
+
+def test_long_entries_are_named_by_a_short_prefix():
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n3\n0 0 0\n1 0 " + "12" * 2500 + "\n2 2 0\n")
+    assert str(info.value) == (
+        "line 4: entry '12121212121212121212'... (5000 characters) out of range "
+        "0..2 at row 2, column 3"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n2\n0 0\n1 " + "x" * 5000 + "\n")
+    assert str(info.value) == (
+        "line 4: non-numeric entry 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) at row 2"
+    )
+
+
+def test_orders_int_refuses_are_too_large():
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n" + "9" * 5000 + "\n0\n")
+    assert str(info.value) == (
+        "line 2: order too large: '99999999999999999999'... (5000 characters)"
+    )
+
+
+def test_leading_zeros_do_not_count_against_the_digit_limit():
+    # 5,001 characters, but the value 1
+    one = "0" * 5000 + "1"
+    assert parse_bck(f"bck 1\n{one}\n0\n") == CayleyTable(((0,),))
+    assert parse_bck(f"bck 1\n2\n0 0\n{one} 0\n") == CayleyTable(((0, 0), (1, 0)))
 
 
 def test_out_of_range_in_the_last_column_names_row_and_column():

@@ -211,6 +211,28 @@ def test_distinct_enumerated_classes_are_not_isomorphic():
             assert find_isomorphism(a, b) is None
 
 
+def test_isomorphism_agrees_with_canonical_forms_on_order_five():
+    # every order-5 class against a seeded relabelling of every class:
+    # a witness exists exactly when the canonical forms coincide
+    rng = random.Random(29)
+    algebras = enumerate_algebras(5)
+    shuffled = []
+    for algebra in algebras:
+        tail = list(range(1, 5))
+        rng.shuffle(tail)
+        shuffled.append(validate(relabel(algebra.table, (0, *tail))))
+    forms = [canonical_form(a) for a in algebras]
+    matches = 0
+    for a, form in zip(algebras, forms):
+        for b in shuffled:
+            witness = find_isomorphism(a, b)
+            assert (witness is not None) == (form == canonical_form(b))
+            if witness is not None:
+                assert relabel(a.table, witness) == b.table
+                matches += 1
+    assert matches == len(algebras) == 88
+
+
 def test_isomorphic_algebras_share_all_invariants():
     rng = random.Random(5)
     for algebra in corpus(5, min_order=3)[::7]:
@@ -356,6 +378,67 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             for t in tables
             if tuple(row[:m] for row in t[:m]) == rows
         }
+
+
+def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch):
+    # every table the order-5 search completes (and those of the smaller
+    # levels) is judged as the full naive axiom check judges it
+    judged = []
+    leaf_ok = classify._leaf_ok
+
+    def record(t):
+        verdict = leaf_ok(t)
+        judged.append((tuple(map(tuple, t)), verdict))
+        return verdict
+
+    bases = [base.table.rows for m in range(1, 5) for base in enumerate_algebras(m)]
+    monkeypatch.setattr(classify, "_leaf_ok", record)
+    for rows in bases:
+        classify._extensions(rows)
+    assert len(judged) == 1 + 6 + 46 + 461
+    for rows, verdict in judged:
+        assert verdict == (oracle.first_violation(rows) is None), rows
+    assert [verdict for _, verdict in judged].count(False) == 1 + 14 + 201
+
+
+def test_leaf_check_reads_every_bck1_instance_through_the_new_element():
+    # arbitrary new rows and columns over valid bases, with only e*e = 0,
+    # 0*e = 0 and e*0 = e fixed: the search's pruning never lets through a
+    # table that fails only where z = e, so these tables reach all three
+    # orientations
+    rng = random.Random(23)
+    for m in range(2, 6):
+        e = m
+        for base in enumerate_algebras(m):
+            for _ in range(10):
+                t = [[*row, rng.randrange(m + 1)] for row in base.table.rows]
+                t.append([e] + [rng.randrange(m + 1) for _ in range(m)])
+                t[0][e] = t[e][e] = 0
+                r = range(m + 1)
+                holds = all(
+                    t[t[t[x][y]][t[x][z]]][t[z][y]] == 0
+                    for x in r
+                    for y in r
+                    for z in r
+                    if e in (x, y, z)
+                )
+                assert classify._leaf_ok(t) == holds, t
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_extensions_never_run_the_full_axiom_check(monkeypatch, m):
+    # the search relies on the base being valid: no completed table needs
+    # the whole-table check
+    bases = [base.table.rows for base in enumerate_algebras(m)]
+    expected = [classify._extensions(rows) for rows in bases]
+
+    def refuse(t):
+        raise AssertionError("full axiom check called")
+
+    monkeypatch.setattr(core, "_first_violation", refuse)
+    monkeypatch.setattr(core, "find_violation", refuse)
+    monkeypatch.setattr(classify, "_first_violation", refuse, raising=False)
+    assert [classify._extensions(rows) for rows in bases] == expected
 
 
 def test_enumerated_representatives_are_canonical_sorted_and_valid():

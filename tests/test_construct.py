@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bck import classify, core
@@ -500,6 +500,18 @@ def test_synthesis_exactness_for_small_denominators():
             if p >= 2:
                 assert result.order == 2 * q
                 assert not result.escalated
+
+
+@settings(max_examples=50)  # orders up to 240; 200 draws take about 2 s
+@given(st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+def test_synthesis_is_exact_at_the_prescribed_order(pq):
+    # the paper's order for a reduced p/q below 1: 2q, or 4q when p = 1
+    p, q = pq
+    assume(gcd(p, q) == 1)
+    result = synthesize(p, q)
+    n = 2 * q if p > 1 else 4 * q
+    assert result.order == n
+    assert oracle.pair_count(result.algebra.table.rows) * q == n * n * p
 
 
 def test_synthesis_rejects_bad_inputs():
