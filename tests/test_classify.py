@@ -407,6 +407,7 @@ def test_leaf_check_reads_every_bck1_instance_through_the_new_element():
     # table that fails only where z = e, so these tables reach all three
     # orientations
     rng = random.Random(23)
+    verdicts = []
     for m in range(2, 6):
         e = m
         for base in enumerate_algebras(m):
@@ -423,6 +424,8 @@ def test_leaf_check_reads_every_bck1_instance_through_the_new_element():
                     if e in (x, y, z)
                 )
                 assert classify._leaf_ok(t) == holds, t
+                verdicts.append(holds)
+    assert len(verdicts) == 1060 and verdicts.count(True) == 8
 
 
 @pytest.mark.parametrize("m", range(1, 5))
