@@ -43,10 +43,11 @@ class ParseError(ValueError):
 
 def parse_decimal(text: str) -> int:
     """The value of ASCII ``[0-9]+`` text; unlike ``int()``, refuses signs,
-    underscores, blanks and non-ASCII digits with ValueError."""
+    underscores, blanks and non-ASCII digits with ValueError.  Leading zeros
+    are ignored; past 4,300 significant digits ``int()`` raises ValueError."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+        raise ValueError(f"not a decimal integer: {_excerpt(text)}")
+    return int(text.lstrip("0") or "0")
 
 
 def parse_bck(text: str) -> CayleyTable:
@@ -69,15 +70,16 @@ def parse_bck(text: str) -> CayleyTable:
         raise ParseError(2, f"order too large: {_excerpt(order)}") from None
     if n < 1:
         raise ParseError(2, f"order must be positive, got {n}")
+    size = n if n < 10**_EXCERPT else _excerpt(str(n))  # as messages repeat it
     rows = []
     for x in range(n):
         line_no = 3 + x
         if line_no - 1 >= len(lines):
-            raise ParseError(line_no, f"missing row {x + 1} of {n}")
+            raise ParseError(line_no, f"missing row {x + 1} of {size}")
         parts = lines[line_no - 1].split()
         if len(parts) != n:
             raise ParseError(
-                line_no, f"row {x + 1} has {len(parts)} entries, expected {n}"
+                line_no, f"row {x + 1} has {len(parts)} entries, expected {size}"
             )
         digits = "".join(parts)
         if digits.isascii() and digits.isdigit():

@@ -35,7 +35,7 @@ from itertools import chain, islice, permutations
 from operator import getitem, itemgetter
 
 from .construct import m_chain
-from .core import BckAlgebra, CayleyTable, validate
+from .core import BckAlgebra, CayleyTable, _bck1_row, validate
 
 DEFAULT_ENUM_BUDGET = 6
 _CANONICAL_ORDER_LIMIT = 10
@@ -236,8 +236,6 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
     tx = t[x]
     ty = t[y]
     v = tx[y]
-    if v == 0 and x != y and ty[x] == 0:
-        return False  # BCK5
     # BCK2 at (p, q) reads (p, q), (p, p*q) and ((p*(p*q)), q); with p and q
     # both below e it reads only the valid base and holds
     if y == n - 1:
@@ -281,47 +279,40 @@ def _leaf_ok(t: list[list[int]]) -> bool:
     """Whether a table completed by ``_extensions`` satisfies BCK1 at every
     instance with the new element e = n-1 among x, y and z.
 
-    These 3n^2 - 3n + 1 instances are all that can still fail:
+    Only these can fail, and only those with x = e or y = e need a scan:
 
     - instances over x, y, z < e read only the valid, closed base;
-    - BCK3, BCK4 and x*0 = x hold by construction: e*e = 0, 0*e = 0 and
-      e*0 = e;
-    - BCK5 for the pair (x, e) is rejected by ``_partial_ok`` when cell
-      (e, x) is set;
+    - BCK3, BCK4, x*0 = x and BCK5 hold by construction: e*e = 0, 0*e = 0,
+      e*0 = e, and a row cell (e, y) with y*e = 0 is never 0;
     - every BCK2 instance at (q, e) is determined when the last column cell
       is set, and every one at (e, q) when the last row cell is set, and
-      ``_partial_ok`` scans all q there.
+      ``_partial_ok`` scans all q there;
+    - ``_partial_ok`` checks each (x, y, e) with 0 < y < e when cell (e, y)
+      is set, unless x*e = e, (x*y)*e = e and y < d < e for d = e*y: the
+      instance then reads e*d, set later.  No completed table has such a
+      pair.  It would fail, as e*d != 0 (BCK5, with d*e = 0), and c = e*d
+      is below e, since c*y = 0 (BCK2).  If a*e = e for a = x*d, the
+      instance (x, d, e) reads e*c != 0, so (x, d) is such a pair too, with
+      d < c, and this cannot go on for ever.  Otherwise v = a*e < e, and
+      (x, d, e) is checked, so v <= c <= y.  Then q = (x*y)*d = a*y has
+      e <= q by (x*y, e, d), and q <= e by (q, e, a*v), since (a*v)*e = 0
+      (BCK2) and q*(a*v) <= v*y = 0 in the base: BCK5 fails for q and e.
 
     Only pass or fail is needed (a level is a sorted set), so no least
-    witness is sought.  BCK1 is read as (x*y)*(x*z) <= z*y, one row of
-    left-hand sides at a time against a row or column, in C as in
-    ``core._bck1_by_columns``.  Instances with x = 0, x = z or x*y = 0 hold.
+    witness is sought.  BCK1 is read as (x*y)*(x*z) <= z*y, in C: one row
+    of left-hand sides per x against column e, and ``core._bck1_row`` for
+    x = e.  Instances with x = 0, x = z or x*y = 0 hold.
     """
     e = len(t) - 1
     cols = list(zip(*t))
-    te = t[e]
     ce = cols[e]
     rows = t.__getitem__
     for x in range(1, e):
-        tx = t[x]
-        u = tx[e]
-        # z = e: ((x*y)*u)*(e*y) over y
-        if any(map(getitem, map(rows, map(cols[u].__getitem__, tx)), te)):
+        u = t[x][e]  # y = e: (u*(x*z))*(z*e) over z
+        if u and any(map(getitem, map(rows, map(t[u].__getitem__, t[x])), ce)):
             return False
-        # y = e: (u*(x*z))*(z*e) over z
-        if u and any(map(getitem, map(rows, map(t[u].__getitem__, tx)), ce)):
-            return False
-    # x = e: ((e*y)*(e*z))*(z*y) over z, one left row per distinct e*y
-    lefts = {}
-    for y in range(1, e):
-        u = te[y]
-        if u:
-            left = lefts.get(u)
-            if left is None:
-                left = lefts[u] = tuple(map(rows, map(t[u].__getitem__, te)))
-            if any(map(getitem, left, cols[y])):
-                return False
-    return True
+    # x = e: ((e*y)*(e*z))*(z*y) over z
+    return _bck1_row(t, cols, e, range(1, e)) is None
 
 
 def _extensions(base: Rows) -> list[Flat]:
@@ -329,12 +320,13 @@ def _extensions(base: Rows) -> list[Flat]:
 
     The new element e = m gets its column, cells (x, e), filled first and
     then its row, cells (e, y).  A cell (x, y) takes only values v with
-    v*x = 0 (so that x*y <= x) or v = e, which keeps the branching narrow:
-    the column cells' values are read off the base once, and the row
-    cells', which share x = e, once per completed column.  Each set cell
-    is checked by ``_partial_ok``, and each completed table by
-    ``_leaf_ok``, which together cover every axiom instance that reads
-    row or column e.
+    v*x = 0 (so that x*y <= x) or v = e, and a row cell (e, y) with
+    y*e = 0 takes no 0 (BCK5), which keeps the branching narrow: the column
+    cells' values are read off the base once, and the row cells', which
+    share x = e, once per completed column, with and without 0.  Each set
+    cell is checked by ``_partial_ok``, and each completed table by
+    ``_leaf_ok``, which together cover every axiom instance that reads row
+    or column e.
     """
     m = e = len(base)
     t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
@@ -346,7 +338,8 @@ def _extensions(base: Rows) -> list[Flat]:
 
     def fill_column(k: int) -> None:
         if k == len(column):
-            fill_row(1, [u for u in range(m) if t[u][e] == 0] + [e])
+            values = [u for u in range(m) if t[u][e] == 0] + [e]
+            fill_row(1, values, values[1:])  # values[0] is 0
             return
         x, values = column[k]
         tx = t[x]
@@ -356,15 +349,15 @@ def _extensions(base: Rows) -> list[Flat]:
                 fill_column(k + 1)
         tx[e] = -1
 
-    def fill_row(y: int, values: list[int]) -> None:
+    def fill_row(y: int, values: list[int], nonzero: list[int]) -> None:
         if y == e:
             if _leaf_ok(t):
                 found.append(tuple(chain.from_iterable(t)))
             return
-        for v in values:
+        for v in values if t[y][e] else nonzero:
             row[y] = v
             if _partial_ok(t, e, y):
-                fill_row(y + 1, values)
+                fill_row(y + 1, values, nonzero)
         row[y] = -1
 
     fill_column(0)

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import classify
+from . import bckfile, classify
 from .bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck, parse_decimal
 from .construct import (
     ExprParseError,
@@ -117,11 +117,13 @@ def cmd_cdset(args) -> int:
 def cmd_synth(args) -> int:
     parts = args.fraction.split("/")
     if len(parts) != 2:
-        raise ValueError(f"expected P/Q, got {args.fraction!r}")
+        raise ValueError(f"expected P/Q, got {bckfile._excerpt(args.fraction)}")
     try:
         p, q = parse_decimal(parts[0]), parse_decimal(parts[1])
-    except ValueError:
-        raise ValueError(f"expected integers in P/Q, got {args.fraction!r}") from None
+    except ValueError:  # int() refuses more than 4,300 digits: too large
+        large = all(part.isascii() and part.isdigit() for part in parts)
+        reason = "P/Q too large:" if large else "expected integers in P/Q, got"
+        raise ValueError(f"{reason} {bckfile._excerpt(args.fraction)}") from None
     result = synthesize(p, q)
     if result.escalated:
         print(
@@ -147,7 +149,8 @@ def _enum_budget() -> int | None:
     except ValueError:
         budget = 0
     if budget < 1:
-        raise ValueError(f"BCK_ENUM_BUDGET must be a positive integer, got {value!r}")
+        shown = bckfile._excerpt(value)
+        raise ValueError(f"BCK_ENUM_BUDGET must be a positive integer, got {shown}")
     return budget
 
 

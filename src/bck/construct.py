@@ -298,7 +298,7 @@ class FamilyLevel:
 
 
 # The family's base levels, in increasing degree order; every later level
-# is derived from the order-4 one by the induction step in family().
+# is derived from the order-4 one by the schedule in trace_family_index().
 _BASE_SCHEDULE = {
     3: (ConstructionExpr("PI"),),
     4: (
@@ -312,20 +312,14 @@ _BASE_SCHEDULE = {
 def family(n: int) -> FamilyLevel:
     """Constructions realizing every achievable degree at order n, in order.
 
-    The induction runs on expressions: with t entries at order m, entries
-    1..t of the next level are the predecessors under +T and entries
-    t+1..t+(m-1) are predecessors t-(m-2)..t under +2; the degrees come out
-    in increasing order again.  Only the order-n algebras are built.
+    Entry j is ``trace_family_index(n, j)`` for j = 1..T(n-2); only the
+    order-n algebras are built.
     """
     if n < 3:
         raise ValueError("family levels start at order 3")
-    expressions = _BASE_SCHEDULE[min(n, 4)]
-    for m in range(4, n):
-        expressions = tuple(e.extend_top() for e in expressions) + tuple(
-            e.union2() for e in expressions[len(expressions) - (m - 1) :]
-        )
     entries = []
-    for expression in expressions:
+    for j in range(1, triangular(n - 2) + 1):
+        expression = trace_family_index(n, j)
         algebra = expression.evaluate()
         entries.append(FamilyEntry(expression, algebra, algebra.commuting_report()))
     return FamilyLevel(n, tuple(entries))
@@ -334,10 +328,11 @@ def family(n: int) -> FamilyLevel:
 def trace_family_index(n: int, j: int) -> ConstructionExpr:
     """The expression at 1-based index j of family(n), without building the level.
 
-    Walks the level schedule backward: at a level built from t = T(m-2)
-    predecessors, index i came from predecessor i via +T when i <= t, else
-    from predecessor t-(m-1)+(i-t) via +2.  Terminates at a base level of
-    ``_BASE_SCHEDULE``.
+    Walks the level schedule backward.  A level above 4 is the +T of each
+    of its t = T(m-2) predecessors at order m, then the +2 of the last m-1
+    of them, so its degrees come out in increasing order again: index i came
+    from predecessor i via +T when i <= t, else from predecessor
+    t-(m-1)+(i-t) via +2.  Terminates at a base level of ``_BASE_SCHEDULE``.
     """
     if n < 3:
         raise ValueError("family levels start at order 3")

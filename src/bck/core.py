@@ -154,25 +154,38 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     return _bck1_by_lanes(t)
 
 
-def _bck1_by_columns(t) -> tuple[str, tuple[int, ...]] | None:
-    """BCK1 over z in C: for each x, the rows of u*(x*z) are built once
-    per distinct u = x*y and compared with column y.  Only a failing
-    (x, y) is scanned over z, for the least witness."""
-    n = len(t)
-    cols = list(zip(*t))
-    for x in range(n):
-        tx = t[x]
-        lefts = {}
-        for y in range(n):
-            u = tx[y]
-            if u == 0:
-                continue
+def _bck1_row(t, cols, x, ys) -> int | None:
+    """The first y in ``ys`` with ((x*y)*(x*z))*(z*y) != 0 for some z, or
+    None: the row of u*(x*z) over z is built once per distinct u = x*y != 0
+    and compared with column y in C."""
+    tx = t[x]
+    rows = t.__getitem__
+    lefts = {}
+    for y in ys:
+        u = tx[y]
+        if u:
             left = lefts.get(u)
             if left is None:
-                left = lefts[u] = tuple(map(t.__getitem__, map(t[u].__getitem__, tx)))
+                left = lefts[u] = tuple(map(rows, map(t[u].__getitem__, tx)))
             if any(map(getitem, left, cols[y])):
-                values = map(getitem, left, cols[y])
-                return "BCK1", (x, y, next(z for z, v in enumerate(values) if v))
+                return y
+    return None
+
+
+def _bck1_witness(t, cols, x: int) -> tuple[str, tuple[int, ...]]:
+    """The least BCK1 witness (x, y, z) of a row x that fails BCK1."""
+    tx = t[x]
+    y = _bck1_row(t, cols, x, range(len(t)))
+    z = next(z for z, w in enumerate(tx) if t[t[tx[y]][w]][cols[y][z]])
+    return "BCK1", (x, y, z)
+
+
+def _bck1_by_columns(t) -> tuple[str, tuple[int, ...]] | None:
+    """BCK1 over z in C, one :func:`_bck1_row` per x."""
+    cols = list(zip(*t))
+    for x in range(len(t)):
+        if _bck1_row(t, cols, x, range(len(t))) is not None:
+            return _bck1_witness(t, cols, x)
     return None
 
 
@@ -187,8 +200,7 @@ def _bck1_by_lanes(t) -> tuple[str, tuple[int, ...]] | None:
     into the block of 255 values holding it and its digit there, so that
     bytes.translate can map it; a cell outside a block reads 255, which
     every table maps to 0.  Instances with z = x hold, since a = u and
-    u*u = 0 by BCK3.  Only the least failing (x, y) is scanned over z, for
-    the least witness.
+    u*u = 0 by BCK3.  The first failing row goes to :func:`_bck1_witness`.
     """
     n = len(t)
     cuts, digits, pieces = _layout(n)
@@ -206,9 +218,8 @@ def _bck1_by_lanes(t) -> tuple[str, tuple[int, ...]] | None:
     elements = range(n)
     for x in elements:
         tx = t[x]
-        least = n
         for u in set(tx):
-            if not u or tx.index(u) >= least:
+            if not u:
                 continue
             tu = t[u]
             fail = 0  # lanes y with (u*(x*z))*(z*y) != 0 for some z
@@ -217,14 +228,8 @@ def _bck1_by_lanes(t) -> tuple[str, tuple[int, ...]] | None:
                     a = tu[tx[z]]
                     for digit_rows, tables in per_block:
                         fail |= _from(digit_rows[z].translate(tables[a]), "little")
-            if fail:
-                fail &= _from(rows[u // 255][x].translate(_EQ[u % 255]), "little")
-                if fail:
-                    least = min(least, ((fail & -fail).bit_length() - 1) >> 3)
-        if least < n:
-            tu = t[tx[least]]
-            z = next(z for z in range(n) if t[tu[tx[z]]][t[z][least]])
-            return "BCK1", (x, least, z)
+            if fail and fail & _from(rows[u // 255][x].translate(_EQ[u % 255]), "little"):
+                return _bck1_witness(t, list(zip(*t)), x)
     return None
 
 

@@ -154,6 +154,24 @@ def test_orders_int_refuses_are_too_large():
     )
 
 
+def test_row_messages_name_a_long_order_by_a_prefix():
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n" + "9" * 4300 + "\n")
+    assert str(info.value) == (
+        "line 3: missing row 1 of '99999999999999999999'... (4300 characters)"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n" + "12" * 15 + "\n0\n")
+    assert str(info.value) == (
+        "line 3: row 1 has 1 entries, expected '12121212121212121212'... "
+        "(30 characters)"
+    )
+    # up to 20 digits the order is repeated in full
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n" + "9" * 20 + "\n0\n")
+    assert str(info.value).endswith("expected 99999999999999999999")
+
+
 def test_leading_zeros_do_not_count_against_the_digit_limit():
     # 5,001 characters, but the value 1
     one = "0" * 5000 + "1"

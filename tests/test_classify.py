@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -401,31 +402,39 @@ def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch)
     assert [verdict for _, verdict in judged].count(False) == 1 + 14 + 201
 
 
-def test_leaf_check_reads_every_bck1_instance_through_the_new_element():
-    # arbitrary new rows and columns over valid bases, with only e*e = 0,
-    # 0*e = 0 and e*0 = e fixed: the search's pruning never lets through a
-    # table that fails only where z = e, so these tables reach all three
-    # orientations
-    rng = random.Random(23)
-    verdicts = []
-    for m in range(2, 6):
-        e = m
-        for base in enumerate_algebras(m):
-            for _ in range(10):
-                t = [[*row, rng.randrange(m + 1)] for row in base.table.rows]
-                t.append([e] + [rng.randrange(m + 1) for _ in range(m)])
-                t[0][e] = t[e][e] = 0
-                r = range(m + 1)
-                holds = all(
-                    t[t[t[x][y]][t[x][z]]][t[z][y]] == 0
-                    for x in r
-                    for y in r
-                    for z in r
-                    if e in (x, y, z)
-                )
-                assert classify._leaf_ok(t) == holds, t
-                verdicts.append(holds)
-    assert len(verdicts) == 1060 and verdicts.count(True) == 8
+def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatch):
+    # every table the search completes over the order-5 classes, each of
+    # which passed ``_partial_ok`` at every cell, is judged as a naive scan
+    # of the BCK1 instances through e judges it; the scans of x = e and of
+    # y = e each reject tables that pass the other, and no table fails only
+    # where z = e, which ``_leaf_ok`` leaves to ``_partial_ok``
+    judged = []
+    leaf_ok = classify._leaf_ok
+
+    def record(t):
+        verdict = leaf_ok(t)
+        judged.append((tuple(map(tuple, t)), verdict))
+        return verdict
+
+    bases = [base.table.rows for base in enumerate_algebras(5)]
+    monkeypatch.setattr(classify, "_leaf_ok", record)
+    for rows in bases:
+        classify._extensions(rows)
+    e = 5
+    r = range(e + 1)
+    failing = Counter()
+    for t, verdict in judged:
+        where = {
+            "xyz"[(x, y, z).index(e)]
+            for x in r
+            for y in r
+            for z in r
+            if e in (x, y, z) and t[t[t[x][y]][t[x][z]]][t[z][y]]
+        }
+        assert verdict == (not where), t
+        failing["".join(sorted(where))] += 1
+    assert len(judged) == 6216 and failing[""] == 2715
+    assert failing["x"] and failing["y"] and not failing["z"]
 
 
 @pytest.mark.parametrize("m", range(1, 5))

@@ -178,6 +178,23 @@ def test_synth_rejects_malformed_fractions(capsys):
     assert "'+2/5'" in err
 
 
+def test_synth_names_long_fractions_by_a_prefix(capsys):
+    # int() refuses more than 4,300 digits: the numbers are too large, not
+    # malformed, and only a prefix of them is repeated
+    code, _, err = run(capsys, "synth", "1" * 5000 + "/3")
+    assert code == 1
+    assert err == "error: P/Q too large: '11111111111111111111'... (5002 characters)\n"
+    code, _, err = run(capsys, "synth", "x" * 5000 + "/3")
+    assert code == 1
+    assert err == (
+        "error: expected integers in P/Q, got 'xxxxxxxxxxxxxxxxxxxx'... "
+        "(5002 characters)\n"
+    )
+    # leading zeros do not count against the digit limit
+    code, out, _ = run(capsys, "synth", "0" * 5000 + "1/2")
+    assert code == 0 and "order: 8" in out.splitlines()
+
+
 def test_enum_counts(capsys):
     code, out, _ = run(capsys, "enum", "4", "--count-only")
     assert (code, out) == (0, "14\n")
