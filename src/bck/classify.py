@@ -290,13 +290,14 @@ def _leaf_ok(t: list[list[int]]) -> bool:
     - ``_partial_ok`` checks each (x, y, e) with 0 < y < e when cell (e, y)
       is set, unless x*e = e, (x*y)*e = e and y < d < e for d = e*y: the
       instance then reads e*d, set later.  No completed table has such a
-      pair.  It would fail, as e*d != 0 (BCK5, with d*e = 0), and c = e*d
-      is below e, since c*y = 0 (BCK2).  If a*e = e for a = x*d, the
-      instance (x, d, e) reads e*c != 0, so (x, d) is such a pair too, with
-      d < c, and this cannot go on for ever.  Otherwise v = a*e < e, and
-      (x, d, e) is checked, so v <= c <= y.  Then q = (x*y)*d = a*y has
-      e <= q by (x*y, e, d), and q <= e by (q, e, a*v), since (a*v)*e = 0
-      (BCK2) and q*(a*v) <= v*y = 0 in the base: BCK5 fails for q and e.
+      pair.  Its instance fails, as e*d != 0 by BCK5 (d*e = 0), and c = e*d
+      is below e, as c*y = 0 by BCK2 while e*y != 0.  If a*e = e for
+      a = x*d, (x, d, e) reads e*c != 0 (BCK5), so (x, d) is such a pair
+      too, with d < c < e, which cannot go on for ever.  Otherwise a*e = v
+      is below e, so (x, d, e) is checked: v <= c <= y.  In the base,
+      q = (x*y)*d = a*y and q*(a*v) <= v*y = 0.  Then the y = e instances
+      (x*y, e, d) and (q, e, a*v) give e <= q and, as (a*v)*e = 0 by BCK2,
+      q <= e: BCK5 fails.
 
     Only pass or fail is needed (a level is a sorted set), so no least
     witness is sought.  BCK1 is read as (x*y)*(x*z) <= z*y, in C: one row
