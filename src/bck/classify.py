@@ -13,12 +13,12 @@ over the cells and ``bytes``, not n*n Python steps.
 Enumeration builds the catalog level by level: every algebra of order n
 contains a subalgebra of order n-1, so each isomorphism class of order n
 shows up as a one-element extension of some canonical representative of
-order n-1.  The new element e's column, then its row, is filled cell by
-cell, each cell (x, y) taking only values v with v*x = 0 or v = e, with
-incremental axiom checks.  The base is a valid, closed algebra, so only
-instances through e can fail: a completed table gets a final check of
-its BCK1 instances through e, and classes are deduplicated via canonical
-forms.
+order n-1, with the new element e, a maximal element, as its last label.
+Its column, then its row, is filled cell by cell, each cell (x, y)
+taking only values v with v*x = 0 or v = e, with incremental axiom
+checks.  The base is a valid, closed algebra, so only instances through
+e can fail: a completed table gets a final check of its BCK1 instances
+through e, and classes are deduplicated via canonical forms.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -283,7 +283,7 @@ def _leaf_ok(t: list[list[int]]) -> bool:
 
     - instances over x, y, z < e read only the valid, closed base;
     - BCK3, BCK4, x*0 = x and BCK5 hold by construction: e*e = 0, 0*e = 0,
-      e*0 = e, and a row cell (e, y) with y*e = 0 is never 0;
+      e*0 = e, and no row cell (e, y) with y > 0 is 0, as e is maximal;
     - every BCK2 instance at (q, e) is determined when the last column cell
       is set, and every one at (e, q) when the last row cell is set, and
       ``_partial_ok`` scans all q there;
@@ -317,17 +317,24 @@ def _leaf_ok(t: list[list[int]]) -> bool:
 
 
 def _extensions(base: Rows) -> list[Flat]:
-    """All valid labeled order-(m+1) tables whose leading block is ``base``.
+    """All valid labeled order-(m+1) tables whose leading block is ``base``
+    and in which the new element e = m is maximal.
 
-    The new element e = m gets its column, cells (x, e), filled first and
-    then its row, cells (e, y).  A cell (x, y) takes only values v with
-    v*x = 0 (so that x*y <= x) or v = e, and a row cell (e, y) with
-    y*e = 0 takes no 0 (BCK5), which keeps the branching narrow: the column
-    cells' values are read off the base once, and the row cells', which
-    share x = e, once per completed column, with and without 0.  Each set
-    cell is checked by ``_partial_ok``, and each completed table by
-    ``_leaf_ok``, which together cover every axiom instance that reads row
-    or column e.
+    Every class of order m+1 still has such a table over one of the
+    order-m representatives.  In a BCK-algebra x*y <= x, so x*y = u for a
+    maximal u forces u <= x, hence x = u: for each maximal u the other
+    elements are closed under *, and a maximal u != 0 exists once the
+    order is at least 2.  Relabeling those others onto their canonical
+    representative, as the base, and u as e gives such a table.
+
+    The new element gets its column, cells (x, e), filled first and then
+    its row, cells (e, y).  A cell (x, y) takes only values v with v*x = 0
+    (so that x*y <= x) or v = e, and a row cell (e, y) takes no 0, as e is
+    maximal, which keeps the branching narrow: the column cells' values
+    are read off the base once, and the row cells', which share x = e,
+    once per completed column.  Each set cell is checked by
+    ``_partial_ok``, and each completed table by ``_leaf_ok``, which
+    together cover every axiom instance that reads row or column e.
     """
     m = e = len(base)
     t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
@@ -339,8 +346,7 @@ def _extensions(base: Rows) -> list[Flat]:
 
     def fill_column(k: int) -> None:
         if k == len(column):
-            values = [u for u in range(m) if t[u][e] == 0] + [e]
-            fill_row(1, values, values[1:])  # values[0] is 0
+            fill_row(1, [u for u in range(1, m) if t[u][e] == 0] + [e])
             return
         x, values = column[k]
         tx = t[x]
@@ -350,15 +356,15 @@ def _extensions(base: Rows) -> list[Flat]:
                 fill_column(k + 1)
         tx[e] = -1
 
-    def fill_row(y: int, values: list[int], nonzero: list[int]) -> None:
+    def fill_row(y: int, values: list[int]) -> None:
         if y == e:
             if _leaf_ok(t):
                 found.append(tuple(chain.from_iterable(t)))
             return
-        for v in values if t[y][e] else nonzero:
+        for v in values:
             row[y] = v
             if _partial_ok(t, e, y):
-                fill_row(y + 1, values, nonzero)
+                fill_row(y + 1, values)
         row[y] = -1
 
     fill_column(0)

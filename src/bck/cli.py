@@ -154,6 +154,17 @@ def _enum_budget() -> int | None:
     return budget
 
 
+def _order(text: str) -> int:
+    """An order argument, read as argparse reads ``type=int``, with a long
+    text named by a prefix in the usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {bckfile._excerpt(text)}"
+        ) from None
+
+
 def _flags(algebra: BckAlgebra) -> str:
     flags = []
     if algebra.is_commutative():
@@ -243,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="write a chain (mn) or maximal-degree (bn) algebra")
     p.add_argument("kind", choices=("mn", "bn"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_build)
 
@@ -264,12 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_op_union)
 
     p = sub.add_parser("family", help="list constructions covering every degree at order N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.add_argument("--exprs", action="store_true")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("cdset", help="list all achievable non-commutative degrees at order N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.set_defaults(func=cmd_cdset)
 
     p = sub.add_parser("synth", help="build an algebra with commuting degree exactly P/Q")
@@ -278,14 +289,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("enum", help="enumerate isomorphism classes of order N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--noncommutative", action="store_true")
     p.add_argument("-o", "--output", metavar="DIR")
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("census", help="tally isomorphism classes by commuting degree")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_order)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("iso", help="find an isomorphism witness between two tables")

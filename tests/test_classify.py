@@ -368,7 +368,8 @@ def test_order_seven_level_census_and_worker_counts():
 def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
     # the labeled search is complete and sound: over each representative it
     # yields, once each, the oracle's valid order-(m+1) tables with that
-    # representative as their leading m-by-m block
+    # representative as their leading m-by-m block and the new element m
+    # maximal, that is m*y != 0 for 0 < y < m
     tables = oracle.pruned_valid_tables(m + 1)
     for base in enumerate_algebras(m):
         rows = base.table.rows
@@ -378,7 +379,21 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             tuple(v for row in t for v in row)
             for t in tables
             if tuple(row[:m] for row in t[:m]) == rows
+            and all(t[m][y] for y in range(1, m))
         }
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_removing_a_maximal_element_leaves_a_subalgebra(n):
+    # the completeness of ``_extensions``, read off the oracle alone: since
+    # x*y <= x, x*y = u for a maximal u forces x = u, so for every maximal
+    # u the other elements are closed, and some maximal u is not 0
+    for t in oracle.pruned_valid_tables(n):
+        r = range(n)
+        maximal = [u for u in r if all(t[u][z] for z in r if z != u)]
+        assert maximal and 0 not in maximal, t
+        for u in maximal:
+            assert all(t[x][y] != u for x in r for y in r if u not in (x, y)), t
 
 
 def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch):
@@ -396,10 +411,10 @@ def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch)
     monkeypatch.setattr(classify, "_leaf_ok", record)
     for rows in bases:
         classify._extensions(rows)
-    assert len(judged) == 1 + 6 + 46 + 461
+    assert len(judged) == 1 + 4 + 30 + 288
     for rows, verdict in judged:
         assert verdict == (oracle.first_violation(rows) is None), rows
-    assert [verdict for _, verdict in judged].count(False) == 1 + 14 + 201
+    assert [verdict for _, verdict in judged].count(False) == 1 + 11 + 141
 
 
 def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatch):
@@ -433,7 +448,7 @@ def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatc
         }
         assert verdict == (not where), t
         failing["".join(sorted(where))] += 1
-    assert len(judged) == 6216 and failing[""] == 2715
+    assert len(judged) == 3718 and failing[""] == 1450
     assert failing["x"] and failing["y"] and not failing["z"]
 
 

@@ -54,6 +54,24 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["family"], ["enum"], ["census"], ["cdset"], ["build", "mn"]]
+)
+def test_order_arguments_name_long_text_by_a_prefix(capsys, argv):
+    # int() refuses more than 4,300 digits; the usage error repeats only a
+    # prefix of such an order, and a short text exactly as argparse does
+    for text, shown in (
+        ("1" * 5000, "'11111111111111111111'... (5000 characters)"),
+        ("x", "'x'"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, text])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument n: invalid int value: {shown}\n")
+        assert len(err.splitlines()) == 2 and len(err) < 200
+
+
 def test_cd_prints_raw_and_reduced(tmp_path, capsys):
     code, out, _ = run(capsys, "cd", write(tmp_path / "pi.bck", PI))
     assert (code, out) == (0, "7/9 = 7/9\n")
