@@ -25,12 +25,12 @@ HEADER = "bck 1"
 _EXCERPT = 20  # characters of an offending text that a message repeats
 
 
-def _excerpt(text: str) -> str:
-    """The text as a message repeats it: quoted, and cut to a short prefix
-    with its length when it is longer."""
+def _excerpt(text: str, show=repr) -> str:
+    """The text as a message repeats it: shown (quoted by default), and cut
+    to a short prefix with its length when it is longer."""
     if len(text) <= _EXCERPT:
-        return repr(text)
-    return f"{text[:_EXCERPT]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):

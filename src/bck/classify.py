@@ -10,15 +10,16 @@ so only they are tried.  Each candidate costs a few C calls, a
 ``bytes.translate`` of the values, a precomputed ``operator.itemgetter``
 over the cells and ``bytes``, not n*n Python steps.
 
-Enumeration builds the catalog level by level: every algebra of order n
-contains a subalgebra of order n-1, so each isomorphism class of order n
-shows up as a one-element extension of some canonical representative of
-order n-1, with the new element e, a maximal element, as its last label.
-Its column, then its row, is filled cell by cell, each cell (x, y)
-taking only values v with v*x = 0 or v = e, with incremental axiom
-checks.  The base is a valid, closed algebra, so only instances through
-e can fail: a completed table gets a final check of its BCK1 instances
-through e, and classes are deduplicated via canonical forms.
+Enumeration builds the catalog level by level: each class of order n is
+a one-element extension of a canonical representative of order n-1, its
+new last label e a maximal element with the smallest down-set among the
+maximal ones (x*y <= x, so removing a maximal element leaves the others
+closed).  Its column, then its row, is filled cell by cell, a cell (x, y)
+taking only values v with v*x = 0 or v = e, but no column cell e (x*e = e
+would give e <= x); a column is dropped if a base element that stays
+maximal has a smaller down-set than e.  Axiom checks decide every instance
+through e cell by cell but the BCK1 row of e, checked on the completed
+table; classes are deduplicated via canonical forms.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -32,8 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice, permutations
-from operator import getitem, itemgetter
+from operator import itemgetter
 
+from .bckfile import _excerpt
 from .construct import m_chain
 from .core import BckAlgebra, CayleyTable, _bck1_row, validate
 
@@ -229,7 +231,7 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
     (x, y) lies in the last row or column, e = n-1, and the other cells
     outside them hold a valid base.  Unknown cells hold -1; instances that
     still involve one are skipped (the completed table's BCK1 instances
-    through e get a final check in ``_leaf_ok``).  Sound pruning: only
+    with x = e get a final check in ``_leaf_ok``).  Sound pruning: only
     definite violations reject a branch.
     """
     n = len(t)
@@ -277,76 +279,68 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
 
 def _leaf_ok(t: list[list[int]]) -> bool:
     """Whether a table completed by ``_extensions`` satisfies BCK1 at every
-    instance with the new element e = n-1 among x, y and z.
+    instance with x = e = n-1: ((e*y)*(e*z))*(z*y) = 0 for all y and z.
 
-    Only these can fail, and only those with x = e or y = e need a scan:
+    Every other axiom instance through e is decided before the leaf:
 
     - instances over x, y, z < e read only the valid, closed base;
     - BCK3, BCK4, x*0 = x and BCK5 hold by construction: e*e = 0, 0*e = 0,
       e*0 = e, and no row cell (e, y) with y > 0 is 0, as e is maximal;
-    - every BCK2 instance at (q, e) is determined when the last column cell
-      is set, and every one at (e, q) when the last row cell is set, and
-      ``_partial_ok`` scans all q there;
-    - ``_partial_ok`` checks each (x, y, e) with 0 < y < e when cell (e, y)
-      is set, unless x*e = e, (x*y)*e = e and y < d < e for d = e*y: the
-      instance then reads e*d, set later.  No completed table has such a
-      pair.  Its instance fails, as e*d != 0 by BCK5 (d*e = 0), and c = e*d
-      is below e, as c*y = 0 by BCK2 while e*y != 0.  If a*e = e for
-      a = x*d, (x, d, e) reads e*c != 0 (BCK5), so (x, d) is such a pair
-      too, with d < c < e, which cannot go on for ever.  Otherwise a*e = v
-      is below e, so (x, d, e) is checked: v <= c <= y.  In the base,
-      q = (x*y)*d = a*y and q*(a*v) <= v*y = 0.  Then the y = e instances
-      (x*y, e, d) and (q, e, a*v) give e <= q and, as (a*v)*e = 0 by BCK2,
-      q <= e: BCK5 fails.
+    - ``_partial_ok`` scans every BCK2 instance at (q, e) when the last
+      column cell is set, and every one at (e, q) when the last row cell is;
+    - no column cell is e, so a BCK1 instance (x, e, z) reads only column
+      cells and the base, and ``_partial_ok`` checks it when the later of
+      (x, e) and (z, e) is set;
+    - (x, y, e) with x < e and 0 < y < e reads x*y, x*e, their product c
+      below e, e*y and c*(e*y), a column or base cell, and ``_partial_ok``
+      checks it when cell (e, y) is set; (x, 0, e) is BCK2 at (x, e).
 
     Only pass or fail is needed (a level is a sorted set), so no least
-    witness is sought.  BCK1 is read as (x*y)*(x*z) <= z*y, in C: one row
-    of left-hand sides per x against column e, and ``core._bck1_row`` for
-    x = e.  Instances with x = 0, x = z or x*y = 0 hold.
+    witness is sought; ``core._bck1_row`` reads the row of e in C.
     """
-    e = len(t) - 1
-    cols = list(zip(*t))
-    ce = cols[e]
-    rows = t.__getitem__
-    for x in range(1, e):
-        u = t[x][e]  # y = e: (u*(x*z))*(z*e) over z
-        if u and any(map(getitem, map(rows, map(t[u].__getitem__, t[x])), ce)):
-            return False
-    # x = e: ((e*y)*(e*z))*(z*y) over z
-    return _bck1_row(t, cols, e, range(1, e)) is None
+    return _bck1_row(t, list(zip(*t)), len(t) - 1, range(1, len(t) - 1)) is None
 
 
 def _extensions(base: Rows) -> list[Flat]:
     """All valid labeled order-(m+1) tables whose leading block is ``base``
-    and in which the new element e = m is maximal.
+    and whose new element e = m is maximal, with a down-set no larger than
+    any other maximal element's.
 
     Every class of order m+1 still has such a table over one of the
     order-m representatives.  In a BCK-algebra x*y <= x, so x*y = u for a
     maximal u forces u <= x, hence x = u: for each maximal u the other
     elements are closed under *, and a maximal u != 0 exists once the
-    order is at least 2.  Relabeling those others onto their canonical
-    representative, as the base, and u as e gives such a table.
+    order is at least 2.  Relabeling the others of a maximal u with the
+    smallest down-set onto their representative, and u as e, gives one.
 
     The new element gets its column, cells (x, e), filled first and then
     its row, cells (e, y).  A cell (x, y) takes only values v with v*x = 0
-    (so that x*y <= x) or v = e, and a row cell (e, y) takes no 0, as e is
-    maximal, which keeps the branching narrow: the column cells' values
-    are read off the base once, and the row cells', which share x = e,
-    once per completed column.  Each set cell is checked by
-    ``_partial_ok``, and each completed table by ``_leaf_ok``, which
-    together cover every axiom instance that reads row or column e.
+    (so that x*y <= x) or v = e, a row cell (e, y) takes no 0, as e is
+    maximal, and a column cell takes no e, as x*e = e would give e <= x.
+    The column cells' values are read off the base once, and the row
+    cells', which share x = e, once per completed column.  A completed
+    column is dropped if a base-maximal u with u*e != 0 (so still maximal)
+    has a smaller down-set than e's, which holds 0, e and the x with
+    x*e = 0.  Each set cell is checked by ``_partial_ok``, and each
+    completed table by ``_leaf_ok``, which together cover every axiom
+    instance that reads row or column e.
     """
     m = e = len(base)
     t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
     t[0][e] = t[e][e] = 0
     t[e][0] = e
-    column = [(x, [u for u in range(m) if base[u][x] == 0] + [e]) for x in range(1, m)]
+    column = [(x, [u for u in range(m) if base[u][x] == 0]) for x in range(1, m)]
+    # (u, |down-set of u|) per base-maximal u: e*u != 0 leaves the size as it is
+    downs = [col.count(0) for col in zip(*base)]
+    maximal = [(u, downs[u]) for u in range(1, m) if base[u].count(0) == 1]
     row = t[e]
     found: list[Flat] = []
 
     def fill_column(k: int) -> None:
         if k == len(column):
-            fill_row(1, [u for u in range(1, m) if t[u][e] == 0] + [e])
+            below = [u for u in range(1, m) if t[u][e] == 0]
+            if all(t[u][e] == 0 or down >= len(below) + 2 for u, down in maximal):
+                fill_row(1, below + [e])
             return
         x, values = column[k]
         tx = t[x]
@@ -420,15 +414,16 @@ def enumerate_algebras(
     if n < 1:
         raise ValueError("order must be at least 1")
     limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+    order = _excerpt(str(n), str)
     if n > limit:
         raise ValueError(
-            f"order {n} exceeds the enumeration budget {limit}; pass "
-            f"budget={n} to allow it (runtime above "
+            f"order {order} exceeds the enumeration budget {limit}; pass "
+            f"budget={order} to allow it (runtime above "
             f"{DEFAULT_ENUM_BUDGET} is unvalidated)"
         )
     if n > DEFAULT_ENUM_BUDGET:
         warnings.warn(
-            f"enumerating order {n}: runtime above order "
+            f"enumerating order {order}: runtime above order "
             f"{DEFAULT_ENUM_BUDGET} is unvalidated",
             stacklevel=2,
         )

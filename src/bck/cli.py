@@ -18,8 +18,8 @@ from . import bckfile, classify
 from .bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck, parse_decimal
 from .construct import (
     ExprParseError,
+    _cd_range,
     b_star,
-    cd_numerators,
     extend_top,
     family,
     m_chain,
@@ -109,7 +109,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_cdset(args) -> int:
-    for k in cd_numerators(args.n):
+    for k in _cd_range(args.n):
         print(_degree_line(k, args.n))
     return 0
 

@@ -264,9 +264,13 @@ def triangular(m: int) -> int:
 
 def cd_numerators(n: int) -> list[int]:
     """Unreduced numerators of all achievable non-commutative degrees at order n."""
+    return list(_cd_range(n))
+
+
+def _cd_range(n: int) -> range:
     if n < 3:
         raise ValueError("commuting-degree sets start at order 3")
-    return list(range(3 * n - 2, n * n - 1, 2))
+    return range(3 * n - 2, n * n - 1, 2)
 
 
 def cd_set(n: int) -> list[Fraction]:

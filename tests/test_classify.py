@@ -132,11 +132,11 @@ def test_canonical_flat_prunes_exactly_beyond_bck_tables():
                 assert classify._canonical_flat(_flat(t), n) == _flat(
                     oracle.canonical_flat(tuple(map(tuple, t)))
                 )
-    extensions = [
-        flat
-        for base in rng.sample(enumerate_algebras(6), 3)
-        for flat in classify._extensions(base.table.rows)
-    ]
+    extensions = []
+    bases = enumerate_algebras(6)
+    rng.shuffle(bases)
+    while len(extensions) < 40:
+        extensions += classify._extensions(bases.pop().table.rows)
     for flat in rng.sample(extensions, 40):
         rows = tuple(flat[x * 7 : (x + 1) * 7] for x in range(7))
         assert classify._canonical_flat(flat, 7) == _flat(oracle.canonical_flat(rows))
@@ -369,7 +369,15 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
     # the labeled search is complete and sound: over each representative it
     # yields, once each, the oracle's valid order-(m+1) tables with that
     # representative as their leading m-by-m block and the new element m
-    # maximal, that is m*y != 0 for 0 < y < m
+    # maximal, that is m*y != 0 for 0 < y < m, with no maximal u < m having
+    # a smaller down-set than m
+    r = range(m + 1)
+
+    def smallest_maximal_down_set(t):
+        maximal = [u for u in r if all(t[u][z] for z in r if z != u)]
+        down = [sum(t[z][u] == 0 for z in r) for u in r]
+        return m in maximal and all(down[u] >= down[m] for u in maximal)
+
     tables = oracle.pruned_valid_tables(m + 1)
     for base in enumerate_algebras(m):
         rows = base.table.rows
@@ -379,8 +387,19 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             tuple(v for row in t for v in row)
             for t in tables
             if tuple(row[:m] for row in t[:m]) == rows
-            and all(t[m][y] for y in range(1, m))
+            and smallest_maximal_down_set(t)
         }
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_no_product_outside_a_maximal_element_is_that_element(n):
+    # the column rule of ``_extensions``, read off the oracle alone: x*u = u
+    # would give u <= x (x*y <= x), so for a maximal u it needs x in {0, u}
+    for t in oracle.pruned_valid_tables(n):
+        r = range(n)
+        for u in r:
+            if all(t[u][z] for z in r if z != u):
+                assert all(t[x][u] != u for x in r if x not in (0, u)), t
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -411,18 +430,18 @@ def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch)
     monkeypatch.setattr(classify, "_leaf_ok", record)
     for rows in bases:
         classify._extensions(rows)
-    assert len(judged) == 1 + 4 + 30 + 288
+    assert len(judged) == 1 + 3 + 15 + 110
     for rows, verdict in judged:
         assert verdict == (oracle.first_violation(rows) is None), rows
-    assert [verdict for _, verdict in judged].count(False) == 1 + 11 + 141
+    assert [verdict for _, verdict in judged].count(False) == 7
 
 
 def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatch):
     # every table the search completes over the order-5 classes, each of
     # which passed ``_partial_ok`` at every cell, is judged as a naive scan
-    # of the BCK1 instances through e judges it; the scans of x = e and of
-    # y = e each reject tables that pass the other, and no table fails only
-    # where z = e, which ``_leaf_ok`` leaves to ``_partial_ok``
+    # of the BCK1 instances through e judges it; every rejected table fails
+    # only where x = e, as ``_leaf_ok`` leaves y = e and z = e to
+    # ``_partial_ok``
     judged = []
     leaf_ok = classify._leaf_ok
 
@@ -448,8 +467,8 @@ def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatc
         }
         assert verdict == (not where), t
         failing["".join(sorted(where))] += 1
-    assert len(judged) == 3718 and failing[""] == 1450
-    assert failing["x"] and failing["y"] and not failing["z"]
+    assert len(judged) == 1093 and failing[""] == 932 and failing["x"] == 161
+    assert failing["x"] and not failing["y"] and not failing["z"]
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -508,6 +527,19 @@ def test_enumeration_respects_the_budget():
         enumerate_algebras(7)
     with pytest.raises(ValueError, match="budget"):
         enumerate_algebras(5, budget=4)
+
+
+def test_budget_error_names_a_long_order_by_a_prefix():
+    # bare, as an int prints; past 20 digits a prefix and the length
+    shown = "9" * 20 + "... (4000 characters)"
+    with pytest.raises(ValueError) as info:
+        enumerate_algebras(int("9" * 4000))
+    assert str(info.value) == (
+        f"order {shown} exceeds the enumeration budget 6; pass budget={shown} "
+        "to allow it (runtime above 6 is unvalidated)"
+    )
+    with pytest.raises(ValueError, match=f"^order {10**19} exceeds .* budget={10**19} "):
+        enumerate_algebras(10**19)
 
 
 def test_enumeration_warns_above_the_validated_range(monkeypatch):

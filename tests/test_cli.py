@@ -1,5 +1,9 @@
 """End-to-end checks of the command-line surface."""
 
+import io
+import sys
+from fractions import Fraction
+
 import pytest
 
 from bck.bckfile import emit_bck, parse_bck
@@ -152,6 +156,36 @@ def test_cdset_listing(capsys):
     assert (code, out) == (0, "7/9 = 7/9\n")
     code, out, _ = run(capsys, "cdset", "4")
     assert out.splitlines() == ["10/16 = 5/8", "12/16 = 3/4", "14/16 = 7/8"]
+
+
+class _Stop(Exception):
+    pass
+
+
+class _FirstLine(io.StringIO):
+    """A stdout whose reader stops after the first line."""
+
+    def write(self, text):
+        super().write(text)
+        if "\n" in text:
+            raise _Stop
+
+
+def test_cdset_streams_the_degrees_of_a_huge_order(monkeypatch, capsys):
+    # about n*n/2 numerators: the first line is printed before any other is
+    # made (n*n has 4,000 digits, which str() still converts)
+    n = int("9" * 2000)
+    stdout = _FirstLine()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(_Stop):
+        main(["cdset", str(n)])
+    k = 3 * n - 2
+    assert stdout.getvalue() == f"{k}/{n * n} = {Fraction(k, n * n)}\n"
+    monkeypatch.undo()
+    # at 4,000 digits n*n is past str()'s limit: one error line, no traceback
+    code, out, err = run(capsys, "cdset", "9" * 4000)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Exceeds the limit") and len(err.splitlines()) == 1
 
 
 def test_synth_worked_example(tmp_path, capsys):
