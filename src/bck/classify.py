@@ -12,14 +12,12 @@ over the cells and ``bytes``, not n*n Python steps.
 
 Enumeration builds the catalog level by level: each class of order n is
 a one-element extension of a canonical representative of order n-1, its
-new last label e a maximal element with the smallest down-set among the
-maximal ones (x*y <= x, so removing a maximal element leaves the others
-closed).  Its column, then its row, is filled cell by cell, a cell (x, y)
-taking only values v with v*x = 0 or v = e, but no column cell e (x*e = e
-would give e <= x); a column is dropped if a base element that stays
-maximal has a smaller down-set than e.  Axiom checks decide every instance
-through e cell by cell but the BCK1 row of e, checked on the completed
-table; classes are deduplicated via canonical forms.
+new last label e a maximal element (x*y <= x, so removing one leaves the
+others closed).  Its column, then its row, is filled cell by cell, a cell
+(x, y) taking only values v with v*x = 0 or v = e, but no column cell e
+(x*e = e would give e <= x).  Axiom checks decide every instance through
+e cell by cell but the BCK1 row of e, checked on the completed table;
+classes are deduplicated via canonical forms.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -303,44 +301,36 @@ def _leaf_ok(t: list[list[int]]) -> bool:
 
 def _extensions(base: Rows) -> list[Flat]:
     """All valid labeled order-(m+1) tables whose leading block is ``base``
-    and whose new element e = m is maximal, with a down-set no larger than
-    any other maximal element's.
+    and in which the new element e = m is maximal.
 
     Every class of order m+1 still has such a table over one of the
     order-m representatives.  In a BCK-algebra x*y <= x, so x*y = u for a
     maximal u forces u <= x, hence x = u: for each maximal u the other
     elements are closed under *, and a maximal u != 0 exists once the
-    order is at least 2.  Relabeling the others of a maximal u with the
-    smallest down-set onto their representative, and u as e, gives one.
+    order is at least 2.  Relabeling those others onto their canonical
+    representative, as the base, and u as e gives such a table.
 
     The new element gets its column, cells (x, e), filled first and then
     its row, cells (e, y).  A cell (x, y) takes only values v with v*x = 0
     (so that x*y <= x) or v = e, a row cell (e, y) takes no 0, as e is
     maximal, and a column cell takes no e, as x*e = e would give e <= x.
     The column cells' values are read off the base once, and the row
-    cells', which share x = e, once per completed column.  A completed
-    column is dropped if a base-maximal u with u*e != 0 (so still maximal)
-    has a smaller down-set than e's, which holds 0, e and the x with
-    x*e = 0.  Each set cell is checked by ``_partial_ok``, and each
-    completed table by ``_leaf_ok``, which together cover every axiom
-    instance that reads row or column e.
+    cells', which share x = e, once per completed column.  Each set cell
+    is checked by ``_partial_ok``, and each completed table by
+    ``_leaf_ok``, which together cover every axiom instance that reads
+    row or column e.
     """
     m = e = len(base)
     t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
     t[0][e] = t[e][e] = 0
     t[e][0] = e
     column = [(x, [u for u in range(m) if base[u][x] == 0]) for x in range(1, m)]
-    # (u, |down-set of u|) per base-maximal u: e*u != 0 leaves the size as it is
-    downs = [col.count(0) for col in zip(*base)]
-    maximal = [(u, downs[u]) for u in range(1, m) if base[u].count(0) == 1]
     row = t[e]
     found: list[Flat] = []
 
     def fill_column(k: int) -> None:
         if k == len(column):
-            below = [u for u in range(1, m) if t[u][e] == 0]
-            if all(t[u][e] == 0 or down >= len(below) + 2 for u, down in maximal):
-                fill_row(1, below + [e])
+            fill_row(1, [u for u in range(1, m) if t[u][e] == 0] + [e])
             return
         x, values = column[k]
         tx = t[x]

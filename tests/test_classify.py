@@ -132,11 +132,11 @@ def test_canonical_flat_prunes_exactly_beyond_bck_tables():
                 assert classify._canonical_flat(_flat(t), n) == _flat(
                     oracle.canonical_flat(tuple(map(tuple, t)))
                 )
-    extensions = []
-    bases = enumerate_algebras(6)
-    rng.shuffle(bases)
-    while len(extensions) < 40:
-        extensions += classify._extensions(bases.pop().table.rows)
+    extensions = [
+        flat
+        for base in rng.sample(enumerate_algebras(6), 3)
+        for flat in classify._extensions(base.table.rows)
+    ]
     for flat in rng.sample(extensions, 40):
         rows = tuple(flat[x * 7 : (x + 1) * 7] for x in range(7))
         assert classify._canonical_flat(flat, 7) == _flat(oracle.canonical_flat(rows))
@@ -369,15 +369,7 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
     # the labeled search is complete and sound: over each representative it
     # yields, once each, the oracle's valid order-(m+1) tables with that
     # representative as their leading m-by-m block and the new element m
-    # maximal, that is m*y != 0 for 0 < y < m, with no maximal u < m having
-    # a smaller down-set than m
-    r = range(m + 1)
-
-    def smallest_maximal_down_set(t):
-        maximal = [u for u in r if all(t[u][z] for z in r if z != u)]
-        down = [sum(t[z][u] == 0 for z in r) for u in r]
-        return m in maximal and all(down[u] >= down[m] for u in maximal)
-
+    # maximal, that is m*y != 0 for 0 < y < m
     tables = oracle.pruned_valid_tables(m + 1)
     for base in enumerate_algebras(m):
         rows = base.table.rows
@@ -387,7 +379,7 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             tuple(v for row in t for v in row)
             for t in tables
             if tuple(row[:m] for row in t[:m]) == rows
-            and smallest_maximal_down_set(t)
+            and all(t[m][y] for y in range(1, m))
         }
 
 
@@ -430,10 +422,10 @@ def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch)
     monkeypatch.setattr(classify, "_leaf_ok", record)
     for rows in bases:
         classify._extensions(rows)
-    assert len(judged) == 1 + 3 + 15 + 110
+    assert len(judged) == 1 + 3 + 19 + 158
     for rows, verdict in judged:
         assert verdict == (oracle.first_violation(rows) is None), rows
-    assert [verdict for _, verdict in judged].count(False) == 7
+    assert [verdict for _, verdict in judged].count(False) == 11
 
 
 def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatch):
@@ -467,7 +459,7 @@ def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatc
         }
         assert verdict == (not where), t
         failing["".join(sorted(where))] += 1
-    assert len(judged) == 1093 and failing[""] == 932 and failing["x"] == 161
+    assert len(judged) == 1746 and failing[""] == 1450 and failing["x"] == 296
     assert failing["x"] and not failing["y"] and not failing["z"]
 
 
