@@ -268,6 +268,7 @@ def cd_numerators(n: int) -> list[int]:
 
 
 def _cd_range(n: int) -> range:
+    """:func:`cd_numerators` as a lazy range, for orders too large to list."""
     if n < 3:
         raise ValueError("commuting-degree sets start at order 3")
     return range(3 * n - 2, n * n - 1, 2)
