@@ -12,12 +12,14 @@ over the cells and ``bytes``, not n*n Python steps.
 
 Enumeration builds the catalog level by level: each class of order n is
 a one-element extension of a canonical representative of order n-1, its
-new last label e a maximal element (x*y <= x, so removing one leaves the
-others closed).  Its column, then its row, is filled cell by cell, a cell
-(x, y) taking only values v with v*x = 0 or v = e, but no column cell e
-(x*e = e would give e <= x).  Axiom checks decide every instance through
-e cell by cell but the BCK1 row of e, checked on the completed table;
-classes are deduplicated via canonical forms.
+new last label e a maximal element with the smallest down-set among the
+maximal ones (x*y <= x, so removing a maximal element leaves the others
+closed).  Its column, then its row, is filled cell by cell, a cell (x, y)
+taking only values v with v*x = 0 or v = e, but no column cell e (x*e = e
+would give e <= x); a column is dropped if a base element that stays
+maximal has a smaller down-set than e.  Axiom checks decide every instance
+through e cell by cell but the BCK1 row of e, checked on the completed
+table; classes are deduplicated via canonical forms.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -59,29 +61,42 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     return CayleyTable(tuple(tuple(row) for row in rows))
 
 
-@cache
-def _perms_fixing_zero(n: int) -> tuple[tuple[tuple[itemgetter, bytes], ...], ...]:
-    """(gather, value table) pairs per non-identity sigma with sigma(0) = 0,
-    grouped by sigma^-1(1): group a holds the sigmas that relabel a as 1.
+_PERMS_CACHED_ORDER = 8  # the highest order enumeration reaches
+
+Perm = tuple[itemgetter, itemgetter, bytes]
+
+
+def _build_perms(n: int, a: int) -> tuple[Perm, ...]:
+    """(prefix gather, gather, value table) triples, one per non-identity
+    sigma with sigma(0) = 0 and sigma(a) = 1.
 
     The relabeled table holds sigma(t[x][y]) at cell (sigma(x), sigma(y)),
     so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
-    gather picks those n*n positions in row-major order, and the value
-    table maps each byte v < n to sigma(v) for ``bytes.translate``.  The
-    identity is left out: the search starts from the table itself, and at
-    order 1 its one-cell gather would return a bare int.  Group 0 is empty.
+    gather picks those n*n positions in row-major order, the prefix gather
+    those of rows 1 and 2, and the value table maps each byte v < n to
+    sigma(v) for ``bytes.translate``.  The identity, the first tail when
+    a = 1, is left out: the search starts from the table itself.
     """
-    groups: list[list[tuple[itemgetter, bytes]]] = [[] for _ in range(n)]
-    for tail in islice(permutations(range(1, n)), 1, None):
-        sigma = (0,) + tail
-        inverse = [0] * n
-        for i, image in enumerate(sigma):
-            inverse[image] = i
-        gather = itemgetter(
-            *[inverse[i] * n + inverse[j] for i in range(n) for j in range(n)]
-        )
-        groups[inverse[1]].append((gather, bytes(sigma) + bytes(range(n, 256))))
-    return tuple(map(tuple, groups))
+    perms = []
+    for tail in islice(permutations(x for x in range(1, n) if x != a), a == 1, None):
+        inverse = (0, a, *tail)
+        sigma = [0] * n
+        for i, x in enumerate(inverse):
+            sigma[x] = i
+        cells = [x * n + y for x in inverse for y in inverse]
+        values = bytes(sigma) + bytes(range(n, 256))
+        perms.append((itemgetter(*cells[n : 3 * n]), itemgetter(*cells), values))
+    return tuple(perms)
+
+
+_cached_perms = cache(_build_perms)
+
+
+def _perms_fixing_zero(n: int, a: int) -> tuple[Perm, ...]:
+    """The triples of ``_build_perms``, kept for the orders enumeration
+    reaches (5.8 MiB over every a at order 8) and built per call above
+    them, where they grow factorially (52 MiB at order 9)."""
+    return (_cached_perms if n <= _PERMS_CACHED_ORDER else _build_perms)(n, a)
 
 
 def _canonical_flat(flat: Flat, n: int) -> Flat:
@@ -100,18 +115,29 @@ def _canonical_flat(flat: Flat, n: int) -> Flat:
     a relabeling that sends a' to 1 and those y to 2, 3, ... puts a zero
     where every candidate of a has its first nonzero cell after position 1,
     so it is strictly smaller.  Any other table tries every relabeling.
+
+    On that path each candidate is first gathered on rows 1 and 2 only.
+    With row 0 shared, a candidate whose two rows exceed the best one's is
+    larger whatever its other rows hold, so only the others are gathered in
+    full; a tie on the two rows still compares the whole table.
     """
     table = best = bytes(flat)
-    groups = _perms_fixing_zero(n)
-    if table[:n] == bytes(n) == table[:: n + 1] and table[::n] == bytes(range(n)):
-        zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
+    head = table[n : 3 * n]
+    rows = range(1, n)
+    pruned = table[:n] == bytes(n) == table[:: n + 1] and table[::n] == bytes(range(n))
+    if pruned:
+        zeros = [table.count(0, x * n, x * n + n) for x in rows]
         most = max(zeros, default=0)
-        groups = [groups[a] for a, z in enumerate(zeros, 1) if z == most]
-    for group in groups:
-        for gather, values in group:
-            cand = bytes(gather(table.translate(values)))
+        rows = [a for a, z in enumerate(zeros, 1) if z == most]
+    for a in rows:
+        for prefix, gather, values in _perms_fixing_zero(n, a):
+            moved = table.translate(values)
+            if pruned and bytes(prefix(moved)) > head:
+                continue
+            cand = bytes(gather(moved))
             if cand < best:
                 best = cand
+                head = cand[n : 3 * n]
     return tuple(best)
 
 
@@ -301,36 +327,48 @@ def _leaf_ok(t: list[list[int]]) -> bool:
 
 def _extensions(base: Rows) -> list[Flat]:
     """All valid labeled order-(m+1) tables whose leading block is ``base``
-    and in which the new element e = m is maximal.
+    and whose new element e = m is maximal, with a down-set no larger than
+    any other maximal element's.
 
     Every class of order m+1 still has such a table over one of the
     order-m representatives.  In a BCK-algebra x*y <= x, so x*y = u for a
     maximal u forces u <= x, hence x = u: for each maximal u the other
     elements are closed under *, and a maximal u != 0 exists once the
-    order is at least 2.  Relabeling those others onto their canonical
-    representative, as the base, and u as e gives such a table.
+    order is at least 2.  The down-set sizes of the maximal elements are
+    the same in every relabeling, so some maximal u has the smallest one
+    in every table of the class.  Relabeling the others of such a u onto
+    their representative, as the base, and u as e gives the table.
 
     The new element gets its column, cells (x, e), filled first and then
     its row, cells (e, y).  A cell (x, y) takes only values v with v*x = 0
     (so that x*y <= x) or v = e, a row cell (e, y) takes no 0, as e is
     maximal, and a column cell takes no e, as x*e = e would give e <= x.
     The column cells' values are read off the base once, and the row
-    cells', which share x = e, once per completed column.  Each set cell
-    is checked by ``_partial_ok``, and each completed table by
-    ``_leaf_ok``, which together cover every axiom instance that reads
-    row or column e.
+    cells', which share x = e, once per completed column.  A completed
+    column is dropped if a base-maximal u with u*e != 0 (so still maximal)
+    has a smaller down-set than e's, which holds 0, e and the x with
+    x*e = 0: the column alone fixes both sizes, as e*u != 0 for a maximal
+    e, and a base element that is not maximal in the base is not maximal
+    in the table.  Each set cell is checked by ``_partial_ok``, and each
+    completed table by ``_leaf_ok``, which together cover every axiom
+    instance that reads row or column e.
     """
     m = e = len(base)
     t = [[*row, -1] for row in base] + [[-1] * (m + 1)]
     t[0][e] = t[e][e] = 0
     t[e][0] = e
     column = [(x, [u for u in range(m) if base[u][x] == 0]) for x in range(1, m)]
+    # (u, |down-set of u|) per base-maximal u: e*u != 0 leaves the size as it is
+    downs = [col.count(0) for col in zip(*base)]
+    maximal = [(u, downs[u]) for u in range(1, m) if base[u].count(0) == 1]
     row = t[e]
     found: list[Flat] = []
 
     def fill_column(k: int) -> None:
         if k == len(column):
-            fill_row(1, [u for u in range(1, m) if t[u][e] == 0] + [e])
+            below = [u for u in range(1, m) if t[u][e] == 0]
+            if all(t[u][e] == 0 or down >= len(below) + 2 for u, down in maximal):
+                fill_row(1, below + [e])
             return
         x, values = column[k]
         tx = t[x]

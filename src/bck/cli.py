@@ -109,7 +109,15 @@ def cmd_family(args) -> int:
 
 
 def cmd_cdset(args) -> int:
-    for k in _cd_range(args.n):
+    numerators = _cd_range(args.n)
+    try:
+        str(args.n * args.n)  # every line prints n*n
+    except ValueError:  # past Python's digit limit for printing an int
+        raise ValueError(
+            f"order {bckfile._excerpt(str(args.n), str)} too large: n*n has "
+            f"more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    for k in numerators:
         print(_degree_line(k, args.n))
     return 0
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import io
+import math
 import sys
 from fractions import Fraction
 
@@ -182,10 +183,32 @@ def test_cdset_streams_the_degrees_of_a_huge_order(monkeypatch, capsys):
     k = 3 * n - 2
     assert stdout.getvalue() == f"{k}/{n * n} = {Fraction(k, n * n)}\n"
     monkeypatch.undo()
-    # at 4,000 digits n*n is past str()'s limit: one error line, no traceback
+    # at 4,000 digits n*n is past str()'s limit: refused before any line,
+    # with the order named by a prefix
     code, out, err = run(capsys, "cdset", "9" * 4000)
     assert (code, out) == (1, "")
-    assert err.startswith("error: Exceeds the limit") and len(err.splitlines()) == 1
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: order {'9' * 20}... (4000 characters) too large: n*n has more "
+        f"than {limit} digits\n"
+    )
+
+
+def test_cdset_refuses_exactly_the_orders_whose_square_cannot_print(
+    monkeypatch, capsys
+):
+    # n is the largest order whose n*n has no more digits than str() prints
+    n = math.isqrt(10 ** sys.get_int_max_str_digits() - 1)
+    stdout = _FirstLine()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(_Stop):
+        main(["cdset", str(n)])
+    assert stdout.getvalue().startswith(f"{3 * n - 2}/{n * n} = ")
+    monkeypatch.undo()
+    code, out, err = run(capsys, "cdset", str(n + 1))
+    assert (code, out) == (1, "")
+    shown = f"{str(n + 1)[:20]}... ({len(str(n + 1))} characters)"
+    assert err.startswith(f"error: order {shown} too large: ") and err.count("\n") == 1
 
 
 def test_synth_worked_example(tmp_path, capsys):
