@@ -159,9 +159,6 @@ def test_canonical_form_guards_against_factorial_blowup():
         canonical_form(m_chain(12))
 
 
-# --- isomorphism -------------------------------------------------------------
-
-
 def test_canonical_form_keeps_no_relabeling_table_above_order_eight():
     # enumeration stops at order 8; above it the relabelings are built per
     # call and dropped (52 MiB at order 9 were they all kept)
@@ -175,6 +172,9 @@ def test_canonical_form_keeps_no_relabeling_table_above_order_eight():
     assert retained < 2**20
     sigma = (0, 8, 3, 1, 7, 2, 6, 4, 5)
     assert canonical_form(validate(relabel(chain.table, sigma))) == form
+
+
+# --- isomorphism -------------------------------------------------------------
 
 
 def test_the_two_order_three_chains_are_not_isomorphic():
@@ -411,6 +411,14 @@ def test_order_eight_level_census_minimum_and_worker_counts():
     assert list(classify._extend_level(classify._level(7), jobs=2)) == flats
 
 
+def _smallest_maximal(t):
+    """The maximal elements of a table whose down-set is smallest."""
+    r = range(len(t))
+    maximal = [u for u in r if all(t[u][z] for z in r if z != u)]
+    down = {u: [row[u] for row in t].count(0) for u in maximal}
+    return {u for u in maximal if down[u] == min(down.values())}
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
     # the labeled search is complete and sound: over each representative it
@@ -418,13 +426,6 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
     # representative as their leading m-by-m block and the new element m
     # maximal, that is m*y != 0 for 0 < y < m, with no maximal u < m having
     # a smaller down-set than m
-    r = range(m + 1)
-
-    def smallest_maximal_down_set(t):
-        maximal = [u for u in r if all(t[u][z] for z in r if z != u)]
-        down = [sum(t[z][u] == 0 for z in r) for u in r]
-        return m in maximal and all(down[u] >= down[m] for u in maximal)
-
     tables = oracle.pruned_valid_tables(m + 1)
     for base in enumerate_algebras(m):
         rows = base.table.rows
@@ -434,7 +435,7 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             tuple(v for row in t for v in row)
             for t in tables
             if tuple(row[:m] for row in t[:m]) == rows
-            and smallest_maximal_down_set(t)
+            and m in _smallest_maximal(t)
         }
 
 
@@ -472,18 +473,13 @@ def test_maximal_elements_with_the_smallest_down_set_are_a_deletion_key(n):
     # other than 0 generate every 0-fixing relabeling, so checking those
     # swaps on every table covers them all
     r = range(n)
-
-    def smallest(t):
-        maximal = [u for u in r if all(t[u][z] for z in r if z != u)]
-        down = {u: [row[u] for row in t].count(0) for u in maximal}
-        return {u for u in maximal if down[u] == min(down.values())}
-
     for t in oracle.pruned_valid_tables(n):
-        key = smallest(t)
+        key = _smallest_maximal(t)
         assert key and 0 not in key, t
         for i in range(1, n - 1):
             sigma = (*r[:i], i + 1, i, *r[i + 2 :])
-            assert smallest(oracle.relabeled(t, sigma)) == {sigma[u] for u in key}, t
+            relabeled = oracle.relabeled(t, sigma)
+            assert _smallest_maximal(relabeled) == {sigma[u] for u in key}, t
         for u in key:
             assert all(t[x][y] != u for x in r for y in r if u not in (x, y)), t
 
