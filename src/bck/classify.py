@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice, permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 from .bckfile import _excerpt
@@ -47,9 +47,17 @@ Flat = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _check_labels(labels: tuple[int, ...], n: int) -> None:
+    """Refuse a label that ``CayleyTable`` would refuse as an entry."""
+    for v in labels:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"label {v!r} is not an element of 0..{n - 1}")
+
+
 def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     """Apply a 0-fixing permutation to arguments and values of a table."""
     n = table.order
+    _check_labels(perm, n)
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
     if perm[0] != 0:
@@ -64,22 +72,21 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
 
 _PERMS_CACHED_ORDER = 8  # the highest order enumeration reaches
 
-Perm = tuple[itemgetter, itemgetter, bytes]
 
-
-def _build_perms(n: int, a: int) -> tuple[Perm, ...]:
-    """(prefix gather, gather, value table) triples, one per non-identity
-    sigma with sigma(0) = 0 and sigma(a) = 1.
+def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], ...]:
+    """(prefix gather, gather, value table) triples, one per sigma with
+    sigma(0) = 0 and sigma(a) = 1.
 
     The relabeled table holds sigma(t[x][y]) at cell (sigma(x), sigma(y)),
     so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
     gather picks those n*n positions in row-major order, the prefix gather
     those of rows 1 and 2, and the value table maps each byte v < n to
-    sigma(v) for ``bytes.translate``.  The identity, the first tail when
-    a = 1, is left out: the search starts from the table itself.
+    sigma(v) for ``bytes.translate``.  ``_cached_perms`` keeps them for the
+    orders enumeration reaches (5.8 MiB over every a at order 8); above
+    them they grow factorially (52 MiB at order 9) and are built per call.
     """
     perms = []
-    for tail in islice(permutations(x for x in range(1, n) if x != a), a == 1, None):
+    for tail in permutations(x for x in range(1, n) if x != a):
         inverse = (0, a, *tail)
         sigma = [0] * n
         for i, x in enumerate(inverse):
@@ -93,15 +100,8 @@ def _build_perms(n: int, a: int) -> tuple[Perm, ...]:
 _cached_perms = cache(_build_perms)
 
 
-def _perms_fixing_zero(n: int, a: int) -> tuple[Perm, ...]:
-    """The triples of ``_build_perms``, kept for the orders enumeration
-    reaches (5.8 MiB over every a at order 8) and built per call above
-    them, where they grow factorially (52 MiB at order 9)."""
-    return (_cached_perms if n <= _PERMS_CACHED_ORDER else _build_perms)(n, a)
-
-
 def _canonical_flat(flat: Flat, n: int) -> Flat:
-    """Lexicographic minimum of the flattened table over 0-fixing relabelings.
+    """Lexicographic minimum of a flat BCK table over 0-fixing relabelings.
 
     Each candidate is built by a few C calls on the table as bytes: a
     translate of its values through sigma, a gather of its cells into
@@ -109,31 +109,27 @@ def _canonical_flat(flat: Flat, n: int) -> Flat:
     as the tuples of their values do.
 
     Only the relabelings that send a row with the most zeros to row 1 are
-    tried, when row 0 is all zero, x*0 = x and x*x = 0 (every BCK table).
-    Then every candidate has the same row 0, and the candidate of sigma
-    with sigma(a) = 1 has row 1 = ``1, 0`` followed by one zero per y other
-    than 0 and a with a*y = 0.  If some row a' has more zeros than row a,
-    a relabeling that sends a' to 1 and those y to 2, 3, ... puts a zero
-    where every candidate of a has its first nonzero cell after position 1,
-    so it is strictly smaller.  Any other table tries every relabeling.
+    tried.  Row 0 is all zero, x*0 = x and x*x = 0, so every candidate has
+    the same row 0, and the candidate of sigma with sigma(a) = 1 has row 1
+    = ``1, 0`` followed by one zero per y other than 0 and a with a*y = 0.
+    If some row a' has more zeros than row a, a relabeling that sends a' to
+    1 and those y to 2, 3, ... puts a zero where every candidate of a has
+    its first nonzero cell after position 1, so it is strictly smaller.
 
-    On that path each candidate is first gathered on rows 1 and 2 only.
-    With row 0 shared, a candidate whose two rows exceed the best one's is
-    larger whatever its other rows hold, so only the others are gathered in
-    full; a tie on the two rows still compares the whole table.
+    Each candidate is first gathered on rows 1 and 2 only.  With row 0
+    shared, a candidate whose two rows exceed the best one's is larger
+    whatever its other rows hold, so only the others are gathered in full;
+    a tie on the two rows still compares the whole table.
     """
     table = best = bytes(flat)
     head = table[n : 3 * n]
-    rows = range(1, n)
-    pruned = table[:n] == bytes(n) == table[:: n + 1] and table[::n] == bytes(range(n))
-    if pruned:
-        zeros = [table.count(0, x * n, x * n + n) for x in rows]
-        most = max(zeros, default=0)
-        rows = [a for a, z in enumerate(zeros, 1) if z == most]
-    for a in rows:
-        for prefix, gather, values in _perms_fixing_zero(n, a):
+    zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
+    most = max(zeros, default=0)
+    perms = _cached_perms if n <= _PERMS_CACHED_ORDER else _build_perms
+    for a in [x for x, z in enumerate(zeros, 1) if z == most]:
+        for prefix, gather, values in perms(n, a):
             moved = table.translate(values)
-            if pruned and bytes(prefix(moved)) > head:
+            if bytes(prefix(moved)) > head:
                 continue
             cand = bytes(gather(moved))
             if cand < best:
@@ -158,8 +154,7 @@ def canonical_form(algebra: BckAlgebra) -> CayleyTable:
             f"{_CANONICAL_ORDER_LIMIT}); use find_isomorphism for pairwise tests"
         )
     flat = _canonical_flat(algebra.table.flat(), n)
-    rows = tuple(tuple(flat[x * n : (x + 1) * n]) for x in range(n))
-    return CayleyTable(rows)
+    return CayleyTable([flat[x * n : (x + 1) * n] for x in range(n)])
 
 
 def _signatures(table: CayleyTable) -> list[tuple[int, int, int]]:
@@ -420,13 +415,15 @@ _LEVEL_CACHE: dict[int, tuple[BckAlgebra, ...]] = {1: (validate(CayleyTable([[0]
 
 def _level(n: int, jobs: int = 1) -> tuple[BckAlgebra, ...]:
     """Validated canonical representatives of all isomorphism classes of
-    order n, sorted; each is checked once, when its level is built."""
+    order n, sorted, each checked once; equal rows share one tuple."""
     cached = _LEVEL_CACHE.get(n)
     if cached is None:
-        cached = _LEVEL_CACHE[n] = tuple(
-            validate(CayleyTable([flat[x * n : (x + 1) * n] for x in range(n)]))
-            for flat in _extend_level(_level(n - 1, jobs), jobs)
-        )
+        shared: dict[Flat, Flat] = {}
+        tables = []
+        for flat in _extend_level(_level(n - 1, jobs), jobs):
+            rows = [flat[x * n : (x + 1) * n] for x in range(n)]
+            tables.append(validate(CayleyTable([shared.setdefault(r, r) for r in rows])))
+        cached = _LEVEL_CACHE[n] = tuple(tables)
     return cached
 
 
@@ -510,6 +507,7 @@ def verify_unique_minimum(n: int, budget: int | None = None) -> UniqueMinimumRep
 
 def subalgebra(algebra: BckAlgebra, elements: tuple[int, ...]) -> BckAlgebra:
     """Restrict to a closed subset containing 0, relabeling order-preservingly."""
+    _check_labels(elements, algebra.order)
     subset = sorted(set(elements))
     if not subset or subset[0] != 0:
         raise ValueError("a subalgebra must contain element 0")

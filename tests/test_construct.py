@@ -152,7 +152,7 @@ def test_predicted_degree_of_the_order_five_maximum():
 
 
 def test_transfer_formulas_match_construction_over_corpus():
-    for algebra in corpus(5):
+    for algebra in corpus(6):
         report = algebra.commuting_report()
         extended = extend_top(algebra).commuting_report()
         glued = union(algebra, TWO).commuting_report()
