@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -52,6 +51,13 @@ def _check_labels(labels: tuple[int, ...], n: int) -> None:
     for v in labels:
         if type(v) is not int or not 0 <= v < n:
             raise ValueError(f"label {v!r} is not an element of 0..{n - 1}")
+
+
+def _check_int(name: str, value: object) -> None:
+    """Refuse an argument that is not an int by ``CayleyTable``'s rule, so
+    that ``True``, ``5.0`` or ``'2'`` is named rather than used."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {_excerpt(repr(value), str)}")
 
 
 def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
@@ -398,9 +404,15 @@ def _extend_level(bases: tuple[BckAlgebra, ...], jobs: int) -> tuple[Flat, ...]:
 
     The bases' rows are sharded over ``jobs`` worker processes when there
     are at least two per worker; the sorted result does not depend on ``jobs``.
+    Only the level built here is sharded: ``_level`` builds the bases'
+    level serially and caches it.  The pool is imported on this branch
+    alone, so that importing ``bck`` or a serial run loads no
+    ``multiprocessing``.
     """
     rows = tuple(base.table.rows for base in bases)
     if jobs > 1 and len(rows) >= 2 * jobs:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [rows[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             merged = set().union(*pool.map(_extend_and_canonicalize, chunks))
@@ -415,12 +427,17 @@ _LEVEL_CACHE: dict[int, tuple[BckAlgebra, ...]] = {1: (validate(CayleyTable([[0]
 
 def _level(n: int, jobs: int = 1) -> tuple[BckAlgebra, ...]:
     """Validated canonical representatives of all isomorphism classes of
-    order n, sorted, each checked once; equal rows share one tuple."""
+    order n, sorted, each checked once; equal rows share one tuple.
+
+    ``jobs`` shards level n only.  The lower levels are built serially and
+    cached: each holds 6-16 times fewer classes than the next, so a pool
+    for one of them costs more to start than it saves.
+    """
     cached = _LEVEL_CACHE.get(n)
     if cached is None:
         shared: dict[Flat, Flat] = {}
         tables = []
-        for flat in _extend_level(_level(n - 1, jobs), jobs):
+        for flat in _extend_level(_level(n - 1), jobs):
             rows = [flat[x * n : (x + 1) * n] for x in range(n)]
             tables.append(validate(CayleyTable([shared.setdefault(r, r) for r in rows])))
         cached = _LEVEL_CACHE[n] = tuple(tables)
@@ -433,12 +450,21 @@ def enumerate_algebras(
     """One validated representative per isomorphism class of order n.
 
     Representatives are canonical forms in lexicographic order, computed
-    deterministically regardless of ``jobs``.  Orders above the budget
-    (default 6) raise; raise the budget explicitly to go higher, with the
-    caveat that runtimes beyond 6 are unvalidated.
+    deterministically regardless of ``jobs``.  ``jobs`` worker processes
+    shard level n only; the lower levels are built serially and cached.
+    Orders above the budget (default 6) raise; raise the budget explicitly
+    to go higher, with the caveat that runtimes beyond 6 are unvalidated.
+    ``n``, ``budget`` and ``jobs`` must be ints (not bools), and ``jobs``
+    at least 1.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("order must be at least 1")
+    if budget is not None:
+        _check_int("budget", budget)
+    _check_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = DEFAULT_ENUM_BUDGET if budget is None else budget
     order = _excerpt(str(n), str)
     if n > limit:
@@ -482,6 +508,7 @@ def verify_unique_minimum(n: int, budget: int | None = None) -> UniqueMinimumRep
     the chain algebra.  Raises if the count differs from one or no witness
     exists, since either outcome would falsify the uniqueness claim.
     """
+    _check_int("n", n)
     if n < 2:
         raise ValueError(f"verify_unique_minimum requires order >= 2, got {n}")
     degree = Fraction(3 * n - 2, n * n)

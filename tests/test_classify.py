@@ -1,10 +1,16 @@
 """Canonical forms, isomorphism witnesses, enumeration, and census checks."""
 
 import hashlib
+import json
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -386,6 +392,9 @@ def test_order_eight_level_census_minimum_and_worker_counts():
     flats = [a.table.flat() for a in algebras]
     assert len(flats) == 143866
     assert _level_digest(flats) == ORDER_8_DIGEST
+    # the jobs=2 pass below is compared by this digest, which pins the
+    # list, so only one 78 MiB list of flats is held at a time
+    del flats
     with pytest.warns(UserWarning, match="unvalidated"):
         census = degree_census(8, budget=8)
     assert census == {Fraction(k, 64): c for k, c in ORDER_8_CENSUS.items()}
@@ -395,7 +404,8 @@ def test_order_eight_level_census_minimum_and_worker_counts():
     assert report.degree == Fraction(22, 64)
     assert report.representative.table == canonical_form(m_chain(8))
     assert relabel(report.representative.table, report.witness) == m_chain(8).table
-    assert list(classify._extend_level(classify._level(7), jobs=2)) == flats
+    parallel = classify._extend_level(classify._level(7), jobs=2)
+    assert _level_digest(parallel) == ORDER_8_DIGEST
 
 
 def _smallest_maximal(t):
@@ -615,6 +625,69 @@ def test_enumeration_is_deterministic_across_worker_counts():
     parallel = classify._extend_level(bases, jobs=2)
     assert parallel == classify._extend_level(bases, jobs=1)
     assert [a.table.flat() for a in enumerate_algebras(5)] == list(parallel)
+
+
+def _fresh_python(code):
+    """The stdout of ``code`` run in a new interpreter on this suite's ``bck``."""
+    src = Path(classify.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = """
+import sys
+import bck, bck.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_a_cold_sharded_enumeration_shards_only_the_requested_level():
+    # in a new interpreter, since this process's levels are cached
+    code = """
+import json
+from bck import classify
+calls = []
+extend = classify._extend_level
+def recording(bases, jobs):
+    calls.append((len(bases), jobs))
+    return extend(bases, jobs)
+classify._extend_level = recording
+flats = [a.table.flat() for a in classify.enumerate_algebras(5, jobs=2)]
+print(json.dumps({"calls": calls, "flats": flats}))
+"""
+    out = json.loads(_fresh_python(code))
+    assert out["calls"] == [[1, 1], [1, 1], [3, 1], [14, 2]]
+    assert _level_digest(out["flats"]) == LEVEL_DIGESTS[5]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (enumerate_algebras, (True,), "n must be an int, got True"),
+        (enumerate_algebras, (5.0,), "n must be an int, got 5.0"),
+        (enumerate_algebras, (5, 3.5), "budget must be an int, got 3.5"),
+        (enumerate_algebras, (5, True), "budget must be an int, got True"),
+        (enumerate_algebras, (5, None, 1.5), "jobs must be an int, got 1.5"),
+        (enumerate_algebras, (5, None, "2"), "jobs must be an int, got '2'"),
+        (enumerate_algebras, (5, None, None), "jobs must be an int, got None"),
+        (enumerate_algebras, (5, None, 0), "jobs must be at least 1, got 0"),
+        (enumerate_algebras, (5, None, -1), "jobs must be at least 1, got -1"),
+        (degree_census, (5.0,), "n must be an int, got 5.0"),
+        (degree_census, (5, True), "budget must be an int, got True"),
+        (verify_unique_minimum, (4.0,), "n must be an int, got 4.0"),
+        (verify_unique_minimum, (True,), "n must be an int, got True"),
+    ],
+)
+def test_enumeration_refuses_arguments_that_are_not_ints(function, args, message):
+    # refused before the level cache is read, so a cold and a warm cache agree
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
 
 
 def test_noncommutative_degrees_lie_in_the_achievable_set():
