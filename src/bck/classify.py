@@ -454,8 +454,8 @@ def enumerate_algebras(
     shard level n only; the lower levels are built serially and cached.
     Orders above the budget (default 6) raise; raise the budget explicitly
     to go higher, with the caveat that runtimes beyond 6 are unvalidated.
-    ``n``, ``budget`` and ``jobs`` must be ints (not bools), and ``jobs``
-    at least 1.
+    ``n``, ``jobs`` and a given ``budget`` must be ints (not bools), and
+    ``jobs`` at least 1.
     """
     _check_int("n", n)
     if n < 1:

@@ -336,8 +336,13 @@ LEVEL_DIGESTS = {
 
 
 def _level_digest(flats):
-    text = "\n".join(" ".join(map(str, flat)) for flat in flats)
-    return hashlib.sha256(text.encode()).hexdigest()
+    # hashed a line at a time: the text of level 8 would be another 62 MiB
+    digest = hashlib.sha256()
+    separator = b""
+    for flat in flats:
+        digest.update(separator + " ".join(map(str, flat)).encode())
+        separator = b"\n"
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("n", sorted(LEVEL_DIGESTS))
@@ -389,12 +394,11 @@ def test_order_eight_level_census_minimum_and_worker_counts():
     # CD(8) occurs, and the least, 22/64, once: the chain's class
     with pytest.warns(UserWarning, match="unvalidated"):
         algebras = enumerate_algebras(8, budget=8)
-    flats = [a.table.flat() for a in algebras]
-    assert len(flats) == 143866
-    assert _level_digest(flats) == ORDER_8_DIGEST
-    # the jobs=2 pass below is compared by this digest, which pins the
-    # list, so only one 78 MiB list of flats is held at a time
-    del flats
+    # flats are hashed as they are made, and the jobs=2 pass below is
+    # compared by the same digest, which pins the level: no 78 MiB list of
+    # flats is held beside the level
+    assert len(algebras) == 143866
+    assert _level_digest(a.table.flat() for a in algebras) == ORDER_8_DIGEST
     with pytest.warns(UserWarning, match="unvalidated"):
         census = degree_census(8, budget=8)
     assert census == {Fraction(k, 64): c for k, c in ORDER_8_CENSUS.items()}
@@ -404,8 +408,7 @@ def test_order_eight_level_census_minimum_and_worker_counts():
     assert report.degree == Fraction(22, 64)
     assert report.representative.table == canonical_form(m_chain(8))
     assert relabel(report.representative.table, report.witness) == m_chain(8).table
-    parallel = classify._extend_level(classify._level(7), jobs=2)
-    assert _level_digest(parallel) == ORDER_8_DIGEST
+    assert _level_digest(classify._extend_level(classify._level(7), jobs=2)) == ORDER_8_DIGEST
 
 
 def _smallest_maximal(t):
