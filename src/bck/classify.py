@@ -76,9 +76,6 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     return CayleyTable(tuple(tuple(row) for row in rows))
 
 
-_PERMS_CACHED_ORDER = 8  # the highest order enumeration reaches
-
-
 def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], ...]:
     """(prefix gather, gather, value table) triples, one per sigma with
     sigma(0) = 0 and sigma(a) = 1.
@@ -87,9 +84,10 @@ def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], 
     so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
     gather picks those n*n positions in row-major order, the prefix gather
     those of rows 1 and 2, and the value table maps each byte v < n to
-    sigma(v) for ``bytes.translate``.  ``_cached_perms`` keeps them for the
-    orders enumeration reaches (5.8 MiB over every a at order 8); above
-    them they grow factorially (52 MiB at order 9) and are built per call.
+    sigma(v) for ``bytes.translate``.  They grow factorially (5.8 MiB over
+    every a at order 8, 52 MiB at order 9), so they live only as long as
+    the caller that canonicalises one order: a level build, or one
+    ``canonical_form`` call.
     """
     perms = []
     for tail in permutations(x for x in range(1, n) if x != a):
@@ -103,10 +101,7 @@ def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], 
     return tuple(perms)
 
 
-_cached_perms = cache(_build_perms)
-
-
-def _canonical_flat(flat: Flat, n: int) -> Flat:
+def _canonical_flat(flat: Flat, n: int, perms=_build_perms) -> Flat:
     """Lexicographic minimum of a flat BCK table over 0-fixing relabelings.
 
     Each candidate is built by a few C calls on the table as bytes: a
@@ -126,12 +121,14 @@ def _canonical_flat(flat: Flat, n: int) -> Flat:
     shared, a candidate whose two rows exceed the best one's is larger
     whatever its other rows hold, so only the others are gathered in full;
     a tie on the two rows still compares the whole table.
+
+    ``perms(n, a)`` gives ``_build_perms``' triples; a caller that
+    canonicalises many tables of one order passes it cached.
     """
     table = best = bytes(flat)
     head = table[n : 3 * n]
     zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
     most = max(zeros, default=0)
-    perms = _cached_perms if n <= _PERMS_CACHED_ORDER else _build_perms
     for a in [x for x, z in enumerate(zeros, 1) if z == most]:
         for prefix, gather, values in perms(n, a):
             moved = table.translate(values)
@@ -222,26 +219,32 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
                 return False
         return True
 
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
+    # depth-first, as a loop so that no order is too deep for the stack;
+    # tries[k] holds the candidates of order[k] not yet tried
+    tries = []
+    while (k := len(assigned) - 1) < len(order):
         x = order[k]
-        for u in candidates[x]:
+        if k == len(tries):
+            tries.append(iter(candidates[x]))
+        for u in tries[k]:
             if inverse[u] >= 0:
                 continue
             sigma[x] = u
             inverse[u] = x
             assigned.append(x)
-            if consistent(x, u) and search(k + 1):
-                return True
+            if consistent(x, u):
+                break
             assigned.pop()
             sigma[x] = -1
             inverse[u] = -1
-        return False
-
-    if search(0):
-        return tuple(sigma)
-    return None
+        else:  # x has no candidate left: free the one of the element before
+            tries.pop()
+            if not tries:
+                return None
+            y = assigned.pop()
+            inverse[sigma[y]] = -1
+            sigma[y] = -1
+    return tuple(sigma)
 
 
 def is_isomorphic(a: BckAlgebra, b: BckAlgebra) -> bool:
@@ -396,7 +399,8 @@ def _extensions(base: Rows) -> list[Flat]:
 
 
 def _extend_and_canonicalize(bases: tuple[Rows, ...]) -> set[Flat]:
-    return {_canonical_flat(f, len(b) + 1) for b in bases for f in _extensions(b)}
+    perms = cache(_build_perms)  # one order's table, dropped with the level
+    return {_canonical_flat(f, len(b) + 1, perms) for b in bases for f in _extensions(b)}
 
 
 def _extend_level(bases: tuple[BckAlgebra, ...], jobs: int) -> tuple[Flat, ...]:

@@ -15,9 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bckfile, classify
-from .bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck, parse_decimal
+from .bckfile import emit_bck, emit_hasse_dot, parse_bck, parse_decimal
 from .construct import (
-    ExprParseError,
     _cd_range,
     b_star,
     extend_top,
@@ -27,7 +26,7 @@ from .construct import (
     synthesize,
     union,
 )
-from .core import AxiomViolation, BckAlgebra, FormatError, find_violation, validate
+from .core import BckAlgebra, find_violation, validate
 
 
 def _read_table(path: str):
@@ -327,14 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        AxiomViolation,
-        FormatError,
-        ParseError,
-        ExprParseError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the domain errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -90,6 +90,7 @@ def test_parse_accepts_trailing_blank_and_comment_lines():
     [
         ("bck 2\n2\n0 0\n1 0\n", 1, "header"),
         ("", 1, "header"),
+        ("bck 1\n", 2, "missing order line"),
         ("bck 1\nthree\n0 0 0\n", 2, "decimal"),
         ("bck 1\n0\n", 2, "positive"),
         ("bck 1\n2\n0 0\n", 4, "missing row"),

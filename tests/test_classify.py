@@ -147,16 +147,18 @@ def test_canonical_form_guards_against_factorial_blowup():
 
 
 def test_canonical_form_keeps_no_relabeling_table_above_order_eight():
-    # enumeration stops at order 8; above it the relabelings are built per
-    # call and dropped (52 MiB at order 9 were they all kept)
-    chain = m_chain(9)
-    tracemalloc.start()
-    try:
-        form = canonical_form(chain)
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert retained < 2**20
+    # a call builds the relabelings it needs and drops them, at order 8 as
+    # above it (kept, they take 5.8 MiB at order 8 and 52 MiB at order 9);
+    # what stays is CPython's free lists, 0.16 MiB at order 8, 0.47 at 9
+    for n, bound in ((8, 2**19), (9, 2**20)):
+        chain = m_chain(n)
+        tracemalloc.start()
+        try:
+            form = canonical_form(chain)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < bound, n
     sigma = (0, 8, 3, 1, 7, 2, 6, 4, 5)
     assert canonical_form(validate(relabel(chain.table, sigma))) == form
 
@@ -190,6 +192,61 @@ def test_witnesses_relabel_source_to_target():
         witness = find_isomorphism(algebra, shuffled)
         assert witness is not None
         assert relabel(algebra.table, witness) == shuffled.table
+
+
+# Pairs with equal orders, commuting reports and signature multisets, each
+# found by tracing the search: the first two reach the rejection of an
+# image already taken by another element (the second pair is isomorphic),
+# the third the rejection of a preimage pair whose product disagrees.
+REJECTING_PAIRS = [
+    (
+        ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0),
+         (3, 1, 1, 0, 0, 1), (4, 3, 3, 1, 0, 3), (5, 1, 1, 1, 0, 0)),
+        ((0, 0, 0, 0, 0, 0), (1, 0, 2, 0, 2, 2), (2, 0, 0, 0, 0, 0),
+         (3, 2, 5, 0, 2, 2), (4, 2, 2, 0, 0, 2), (5, 0, 2, 0, 0, 0)),
+        False,
+    ),
+    (
+        ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 1), (2, 2, 0, 2, 2, 2),
+         (3, 4, 4, 0, 1, 1), (4, 4, 4, 0, 0, 0), (5, 5, 5, 5, 5, 0)),
+        ((0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 1, 1), (2, 2, 0, 2, 2, 2),
+         (3, 3, 0, 0, 3, 0), (4, 0, 4, 4, 0, 0), (5, 3, 4, 4, 3, 0)),
+        True,
+    ),
+    (
+        ((0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0),
+         (3, 1, 1, 0, 0, 1, 1), (4, 5, 2, 2, 0, 1, 2), (5, 2, 1, 1, 0, 0, 1),
+         (6, 2, 1, 1, 0, 0, 0)),
+        ((0, 0, 0, 0, 0, 0, 0), (1, 0, 3, 3, 3, 0, 3), (2, 3, 0, 3, 3, 0, 0),
+         (3, 0, 0, 0, 0, 0, 0), (4, 0, 0, 3, 0, 0, 0), (5, 4, 3, 2, 4, 0, 3),
+         (6, 3, 3, 4, 3, 0, 0)),
+        False,
+    ),
+]
+
+
+def test_find_isomorphism_on_pairs_that_reach_each_rejection():
+    assert find_isomorphism(PI, TWO) is None  # the orders differ
+    for rows_a, rows_b, isomorphic in REJECTING_PAIRS:
+        a = validate(CayleyTable(rows_a))
+        b = validate(CayleyTable(rows_b))
+        assert a.commuting_report() == b.commuting_report()
+        assert (canonical_form(a) == canonical_form(b)) == isomorphic
+        witness = find_isomorphism(a, b)
+        if isomorphic:
+            assert relabel(a.table, witness) == b.table
+        else:
+            assert witness is None
+
+
+def test_find_isomorphism_is_not_bounded_by_the_interpreter_stack(monkeypatch):
+    # the search assigns one element per step of a loop, so an order above
+    # the recursion limit (1,000 frames) is searched like any other; the
+    # chain skips its axiom check, about 5 s at this order, which smaller
+    # chains pass in test_construct
+    monkeypatch.setattr(core, "find_violation", lambda table: None)
+    chain = m_chain(1100)
+    assert find_isomorphism(chain, chain) == tuple(range(1100))
 
 
 def test_signatures_count_up_sets_down_sets_and_fixers():
@@ -685,6 +742,7 @@ print(json.dumps({"calls": calls, "flats": flats}))
         (degree_census, (5, True), "budget must be an int, got True"),
         (verify_unique_minimum, (4.0,), "n must be an int, got 4.0"),
         (verify_unique_minimum, (True,), "n must be an int, got True"),
+        (enumerate_algebras, (0,), "order must be at least 1"),
     ],
 )
 def test_enumeration_refuses_arguments_that_are_not_ints(function, args, message):
@@ -766,6 +824,11 @@ def test_unique_minimum_rejects_orders_below_two(n):
 
 def test_maximal_subalgebra_of_the_order_three_chain():
     assert find_maximal_subalgebra(PI) == (0, 1)
+
+
+def test_the_order_one_algebra_has_no_maximal_subalgebra():
+    with pytest.raises(ValueError, match="^order must be at least 2$"):
+        find_maximal_subalgebra(enumerate_algebras(1)[0])
 
 
 def test_maximal_subalgebra_of_extensions_is_the_base():

@@ -268,6 +268,7 @@ def test_family_level_six_unions_come_from_entries_three_to_six():
     for offset, parent in enumerate(fives[2:6]):
         child = sixes[6 + offset]
         assert child.expression == parent.expression.union2()
+    assert [e.expression for e in sixes[:6]] == [e.expression.extend_top() for e in fives]
 
 
 def test_family_level_seven_numerators():
