@@ -72,6 +72,7 @@ def parse_bck(text: str) -> CayleyTable:
         raise ParseError(2, f"order must be positive, got {n}")
     size = n if n < 10**_EXCERPT else _excerpt(str(n))  # as messages repeat it
     rows = []
+    cells = None  # entry text -> value, built once a row of n entries is seen
     for x in range(n):
         line_no = 3 + x
         if line_no - 1 >= len(lines):
@@ -81,17 +82,14 @@ def parse_bck(text: str) -> CayleyTable:
             raise ParseError(
                 line_no, f"row {x + 1} has {len(parts)} entries, expected {size}"
             )
-        digits = "".join(parts)
-        if digits.isascii() and digits.isdigit():
-            try:
-                row = tuple(map(int, parts))
-            except ValueError:
-                pass  # int() refuses more than 4,300 digits
-            else:
-                if max(row) < n:
-                    rows.append(row)
-                    continue
-        # a malformed row is read cell by cell, to name the offending entry
+        if cells is None:
+            cells = {str(v): v for v in range(n)}.__getitem__
+        try:
+            rows.append(tuple(map(cells, parts)))
+            continue
+        except KeyError:
+            pass
+        # other rows are read cell by cell, to accept leading zeros and name a bad entry
         row = []
         for y, part in enumerate(parts):
             if not (part.isascii() and part.isdigit()):
@@ -117,9 +115,10 @@ def parse_bck(text: str) -> CayleyTable:
 
 
 def emit_bck(table: CayleyTable, comments: Iterable[str] = ()) -> str:
+    names = list(map(str, range(table.order))).__getitem__
     out = [HEADER, str(table.order)]
     for row in table.rows:
-        out.append(" ".join(str(v) for v in row))
+        out.append(" ".join(map(names, row)))
     for comment in comments:
         out.append(f"# {comment}")
     return "\n".join(out) + "\n"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import getitem
+from operator import eq, getitem, itemgetter
 
 
 _from = int.from_bytes
@@ -92,7 +92,7 @@ class CayleyTable:
 
     def flat(self) -> tuple[int, ...]:
         """Row-major flattening; the key used for table comparisons."""
-        return tuple(v for row in self.rows for v in row)
+        return tuple(chain.from_iterable(self.rows))
 
 
 def find_violation(table: CayleyTable) -> AxiomViolation | None:
@@ -204,7 +204,10 @@ def _bck1_by_lanes(t) -> tuple[str, tuple[int, ...]] | None:
     """
     n = len(t)
     cuts, digits, pieces = _layout(n)
-    flats = [bytes(map(d.__getitem__, chain.from_iterable(t))) for d in digits]
+    if len(digits) == 1:  # one block, whose digit map is the identity
+        flats = [bytes(chain.from_iterable(t))]
+    else:
+        flats = [bytes(map(d.__getitem__, chain.from_iterable(t))) for d in digits]
     # rows[i][z]: row z as digits of block i; nonzero[i][a]: the table
     # mapping the digit d of block i to 1 if a*(255i + d) != 0, else to 0
     # (a digit of block 0 is 0 exactly for the value 0)
@@ -312,13 +315,14 @@ class BckAlgebra:
 
     @cached_property
     def _commuting(self) -> CommutingReport:
-        t = self.table.rows
         n = self.order
-        count = 0
-        for x in range(n):
-            for y in range(n):
-                if t[y][t[y][x]] == t[x][t[x][y]]:
-                    count += 1
+        if n == 1:  # itemgetter of one index returns the value, not a 1-tuple
+            return CommutingReport(1, 1, Fraction(1))
+        # meets[x][y] = x*(x*y) = y ^ x; x and y commute iff it equals meets[y][x]
+        meets = [itemgetter(*row)(row) for row in self.table.rows]
+        count = sum(
+            map(eq, chain.from_iterable(meets), chain.from_iterable(zip(*meets)))
+        )
         return CommutingReport(n, count, Fraction(count, n * n))
 
     def commuting_report(self) -> CommutingReport:
@@ -333,19 +337,16 @@ class BckAlgebra:
         return self._commuting.pair_count == self.order * self.order
 
     def is_positive_implicative(self) -> bool:
-        """Whether x*y = (x*y)*y holds for all pairs."""
-        t = self.table.rows
-        n = self.order
-        return all(t[t[x][y]][y] == t[x][y] for x in range(n) for y in range(n))
+        """Whether x*y = (x*y)*y holds for all pairs: (x*y)*y reads column y
+        at x*y, so each column must map its own values to themselves."""
+        if self.order == 1:  # itemgetter of one index returns the value
+            return True
+        return all(itemgetter(*col)(col) == col for col in zip(*self.table.rows))
 
     def top(self) -> int | None:
         """The greatest element, i.e. t with x*t = 0 for all x, if it exists."""
-        t = self.table.rows
-        n = self.order
-        for cand in range(n):
-            if all(t[x][cand] == 0 for x in range(n)):
-                return cand
-        return None
+        cols = enumerate(zip(*self.table.rows))
+        return next((y for y, col in cols if col.count(0) == self.order), None)
 
     def is_bounded(self) -> bool:
         return self.top() is not None

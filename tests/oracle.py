@@ -25,6 +25,21 @@ def pair_count(rows: Rows) -> int:
     return count
 
 
+def top(rows: Rows) -> int | None:
+    """The least t with x*t = 0 for every x, or None, scanned directly."""
+    n = len(rows)
+    for t in range(n):
+        if all(rows[x][t] == 0 for x in range(n)):
+            return t
+    return None
+
+
+def positive_implicative(rows: Rows) -> bool:
+    """Whether (x*y)*y = x*y for every pair, checked directly."""
+    n = len(rows)
+    return all(rows[rows[x][y]][y] == rows[x][y] for x in range(n) for y in range(n))
+
+
 def first_violation(rows: Rows) -> tuple[str, tuple[int, ...]] | None:
     """The first failing axiom and its least witness, in the documented
     order BCK3, BCK4, x*0=x, BCK5, BCK2, BCK1; each axiom's instances are

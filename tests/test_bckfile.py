@@ -1,5 +1,7 @@
 """The .bck table format and DOT emission."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +104,10 @@ def test_parse_accepts_trailing_blank_and_comment_lines():
         ("bck 1\n1_0\n", 2, "decimal"),
         ("bck 1\n2\n0 0\n\u0661 0\n", 4, "non-numeric"),
         ("bck 1\r\n2\r\n0 0\r\n1 0\r\n", 1, "CRLF"),
+        # entries the lookup of entry texts lacks, between rows it reads
+        ("bck 1\n3\n0 0 0\n1 3 0\n2 2 0\n", 4,
+         "entry 3 out of range 0..2 at row 2, column 2"),
+        ("bck 1\n3\n0 0 0\n+1 0 0\n2 2 0\n", 4, "non-numeric entry '+1' at row 2"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -120,6 +126,8 @@ def test_leading_zeros_are_read_as_decimal():
     rows = ["0 0 0 0 0 0 0 0"] + [f"{x} 0 0 0 0 0 0 0" for x in range(1, 7)]
     table = parse_bck("bck 1\n8\n" + "\n".join(rows) + "\n007 000 0 0 0 0 0 00\n")
     assert table.rows[7] == (7, 0, 0, 0, 0, 0, 0, 0)
+    # a padded row between rows that the lookup of entry texts reads
+    assert parse_bck("bck 1\n3\n0 0 0\n01 0 00\n2 2 0\n") == PI.table
 
 
 @pytest.mark.parametrize("entry", ["1" * 5000, "\u0661", "\u00b2"])
@@ -184,6 +192,20 @@ def test_out_of_range_in_the_last_column_names_row_and_column():
     with pytest.raises(ParseError) as info:
         parse_bck("bck 1\n3\n0 0 0\n1 0 0\n2 2 3\n")
     assert str(info.value) == "line 5: entry 3 out of range 0..2 at row 3, column 3"
+
+
+def test_a_short_first_row_is_refused_before_any_order_sized_lookup():
+    # a lookup of 10**6 entry texts would hold about 100 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="row 1 has 3 entries"):
+            parse_bck("bck 1\n1000000\n0 0 0\n")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ParseError) as info:
+        parse_bck("bck 1\n1000000000000\n0 0 0\n")
+    assert str(info.value) == "line 3: row 1 has 3 entries, expected 1000000000000"
 
 
 def test_dot_of_the_order_four_chain():

@@ -74,6 +74,8 @@ INVOCATIONS = [
     ["enum", "4"],
     ["enum", "5", "--noncommutative"],
     ["census", "5"],
+    ["enum", "1"],
+    ["census", "1"],
     ["iso", "two_pi.bck", "pi_two.bck"],
     ["iso", "pi.bck", "tc.bck"],
     ["subalg", "pi.bck"],

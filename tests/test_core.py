@@ -471,6 +471,38 @@ def test_report_bounds_and_parity_over_corpus():
             assert report.pair_count <= n * n - 2
 
 
+def _assert_kernels_agree(algebra):
+    rows = algebra.table.rows
+    assert algebra.commuting_report().pair_count == oracle.pair_count(rows)
+    assert algebra.top() == oracle.top(rows)
+    assert algebra.is_positive_implicative() == oracle.positive_implicative(rows)
+
+
+def test_pair_count_top_and_positive_implicativity_match_brute_force_scans():
+    # orders 1 and 2 and the corpus, then both sides of the lanes' one-byte
+    # block at 255; order 1 has a single element in every row and column
+    for algebra in corpus(5):
+        _assert_kernels_agree(algebra)
+    assert [(a.commuting_report().raw, a.top(), a.is_positive_implicative())
+            for a in classify.enumerate_algebras(1)] == [("1/1", 0, True)]
+    rng = random.Random(12)
+    parts = [rows for n in (2, 3) for rows in
+             oracle.group_into_classes(oracle.all_valid_tables(n))]
+    seen = set()
+    for n in (255, 256, 257):
+        tail = (0, *rng.sample(range(1, n), n - 1))
+        for rows in (
+            _grown_rows(rng, parts, n),
+            _extend_rows(_grown_rows(rng, parts, n - 1)),
+            m_chain(n).table.rows,
+            b_star(n).table.rows,
+        ):
+            algebra = validate(CayleyTable(oracle.relabeled(rows, tail)))
+            _assert_kernels_agree(algebra)
+            seen.add((algebra.top() is None, algebra.is_positive_implicative()))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 # --- predicates -------------------------------------------------------------
 
 
