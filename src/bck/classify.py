@@ -27,7 +27,6 @@ levels are cached, so census and uniqueness checks reuse the same run.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -457,7 +456,7 @@ def enumerate_algebras(
     deterministically regardless of ``jobs``.  ``jobs`` worker processes
     shard level n only; the lower levels are built serially and cached.
     Orders above the budget (default 6) raise; raise the budget explicitly
-    to go higher, with the caveat that runtimes beyond 6 are unvalidated.
+    to go higher.
     ``n``, ``jobs`` and a given ``budget`` must be ints (not bools), and
     ``jobs`` at least 1.
     """
@@ -474,14 +473,7 @@ def enumerate_algebras(
     if n > limit:
         raise ValueError(
             f"order {order} exceeds the enumeration budget {limit}; pass "
-            f"budget={order} to allow it (runtime above "
-            f"{DEFAULT_ENUM_BUDGET} is unvalidated)"
-        )
-    if n > DEFAULT_ENUM_BUDGET:
-        warnings.warn(
-            f"enumerating order {order}: runtime above order "
-            f"{DEFAULT_ENUM_BUDGET} is unvalidated",
-            stacklevel=2,
+            f"budget={order} to allow it"
         )
     return list(_level(n, jobs))
 

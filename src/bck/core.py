@@ -112,11 +112,9 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
 
     BCK1 is read as (x*y)*(x*z) <= z*y.  Instances with u = x*y = 0 hold,
     since 0*w = 0 by BCK4, which is checked first.  BCK1 is checked one of
-    two ways, with the same answer, whichever is estimated to cost less:
-    :func:`_bck1_by_lanes` translates about one row per (x, x*y, z) with
-    u*(x*z) != 0, so it is fast when each x has few z with x*z != x, as in
-    unions of small parts; :func:`_bck1_by_columns` reads n cells per
-    nonzero x*y, whatever the table, and is faster on chains.
+    two ways, with the same answer: :func:`_bck1_by_columns` when n <= 8 or
+    the rows hold more than four distinct values each on average, and
+    :func:`_bck1_by_lanes` otherwise.
     """
     n = len(t)
     for x in range(n):
@@ -137,19 +135,11 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
         for y in range(n):
             if t[tx[tx[y]]][y] != 0:
                 return "BCK2", (x, y)
-    # Take the path estimated to cost less; both give the same answer.
-    # Costs count reads of one column cell: at orders 100-200 a translated
-    # row costs about 25, building a row of u*(x*z) about 5 per cell.  For
-    # row x, with d distinct values and m elements z with x*z != x, the
-    # lanes path makes at most d * m translates (in an algebra u*x = 0 for
-    # u = x*y, so only those z give u*(x*z) != 0), and the column path
-    # builds up to d rows and reads n cells per nonzero x*y.
-    translates = reads = 0
-    for x, row in enumerate(t):
-        d = len(set(row))
-        translates += d * (n - row.count(x))
-        reads += 5 * d + n - row.count(0)
-    if 25 * translates > n * reads:
+    # Below order 9 the lanes' set-up (the layout slices and n nonzero
+    # tables of 256 bytes) costs more than the scans; with more than four
+    # distinct values per row, as in chains, the lanes translate about
+    # once per cell.
+    if n <= 8 or sum(map(len, map(set, t))) > 4 * n:
         return _bck1_by_columns(t)
     return _bck1_by_lanes(t)
 

@@ -418,13 +418,11 @@ ORDER_7_CENSUS = {
 @pytest.mark.order7
 def test_order_seven_level_census_and_worker_counts():
     # outside the default run: python -m pytest -m order7
-    with pytest.warns(UserWarning, match="unvalidated"):
-        algebras = enumerate_algebras(7, budget=7)
+    algebras = enumerate_algebras(7, budget=7)
     flats = [a.table.flat() for a in algebras]
     assert len(flats) == 9170
     assert _level_digest(flats) == ORDER_7_DIGEST
-    with pytest.warns(UserWarning, match="unvalidated"):
-        census = degree_census(7, budget=7)
+    census = degree_census(7, budget=7)
     assert census == {Fraction(k, 49): c for k, c in ORDER_7_CENSUS.items()}
     assert list(classify._extend_level(classify._level(6), jobs=2)) == flats
     # the transfer lemmas, against the naive count: +3 for a top extension,
@@ -449,19 +447,16 @@ ORDER_8_CENSUS = {
 def test_order_eight_level_census_minimum_and_worker_counts():
     # outside the default run: python -m pytest -m order8.  Every degree of
     # CD(8) occurs, and the least, 22/64, once: the chain's class
-    with pytest.warns(UserWarning, match="unvalidated"):
-        algebras = enumerate_algebras(8, budget=8)
+    algebras = enumerate_algebras(8, budget=8)
     # flats are hashed as they are made, and the jobs=2 pass below is
     # compared by the same digest, which pins the level: no 78 MiB list of
     # flats is held beside the level
     assert len(algebras) == 143866
     assert _level_digest(a.table.flat() for a in algebras) == ORDER_8_DIGEST
-    with pytest.warns(UserWarning, match="unvalidated"):
-        census = degree_census(8, budget=8)
+    census = degree_census(8, budget=8)
     assert census == {Fraction(k, 64): c for k, c in ORDER_8_CENSUS.items()}
     assert set(census) == set(cd_set(8)) | {Fraction(1)}
-    with pytest.warns(UserWarning, match="unvalidated"):
-        report = verify_unique_minimum(8, budget=8)
+    report = verify_unique_minimum(8, budget=8)
     assert report.degree == Fraction(22, 64)
     assert report.representative.table == canonical_form(m_chain(8))
     assert relabel(report.representative.table, report.witness) == m_chain(8).table
@@ -667,17 +662,10 @@ def test_budget_error_names_a_long_order_by_a_prefix():
         enumerate_algebras(int("9" * 4000))
     assert str(info.value) == (
         f"order {shown} exceeds the enumeration budget 6; pass budget={shown} "
-        "to allow it (runtime above 6 is unvalidated)"
+        "to allow it"
     )
     with pytest.raises(ValueError, match=f"^order {10**19} exceeds .* budget={10**19} "):
         enumerate_algebras(10**19)
-
-
-def test_enumeration_warns_above_the_validated_range(monkeypatch):
-    monkeypatch.setattr(classify, "DEFAULT_ENUM_BUDGET", 2)
-    with pytest.warns(UserWarning, match="unvalidated"):
-        algebras = enumerate_algebras(3, budget=5)
-    assert len(algebras) == 3
 
 
 def test_enumeration_is_deterministic_across_worker_counts():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bck import classify, core
-from bck.construct import b_star, extend_top, m_chain, union
+from bck.construct import b_star, extend_top, family, m_chain, union
 from bck.core import (
     PI,
     TC,
@@ -340,21 +340,45 @@ def test_checker_agrees_with_the_oracle_on_tables_with_many_values_per_row():
     assert {"BCK2", "BCK1"} <= fired
 
 
-def test_bck1_path_follows_the_estimated_cost(monkeypatch):
-    # in a chain x*z != x for every z above 0, so it takes the column scans;
-    # in a union of small parts only x's part-mates and the tops above x
-    # have x*z != x, so it takes the lanes
+def test_bck1_path_follows_the_order_and_distinct_row_values(monkeypatch):
+    # the column scans below order 9, where the lanes' set-up costs more
+    # than the scans, and on rows with more than four distinct values on
+    # average, as in chains, where the lanes translate about once per cell;
+    # the lanes otherwise, as in unions of small parts and their top
+    # extensions
     taken = []
     for name in ("_bck1_by_columns", "_bck1_by_lanes"):
         check = getattr(core, name)
         monkeypatch.setattr(
             core, name, lambda t, check=check, name=name: taken.append(name) or check(t)
         )
+
+    def path(rows):
+        del taken[:]
+        assert core._first_violation(rows) is None
+        (name,) = taken
+        return name
+
+    def distinct(rows):
+        return sum(len(set(row)) for row in rows)
+
+    labelled = [
+        [flat[x * 8 : x * 8 + 8] for x in range(8)]
+        for flat in classify._extensions(m_chain(7).table.rows)
+    ]
+    assert labelled and all(distinct(rows) <= 4 * 8 for rows in labelled)
+    assert {path(rows) for rows in labelled} == {"_bck1_by_columns"}
+    assert distinct(_bounded_chain_rows(9)) > 4 * 9
+    assert path(_bounded_chain_rows(9)) == "_bck1_by_columns"
+    assert path(_bounded_chain_rows(60)) == "_bck1_by_columns"
+    level = family(24)
+    assert len(level) == 253
+    assert {path(entry.algebra.table.rows) for entry in level.entries} == {"_bck1_by_lanes"}
+    top = extend_top(union(classify._level(5)[-1], classify._level(6)[-1]))
+    assert path(top.table.rows) == "_bck1_by_lanes"
     parts = [rows for n in (2, 3) for rows in
              oracle.group_into_classes(oracle.all_valid_tables(n))]
-    assert core._first_violation(_bounded_chain_rows(60)) is None
-    assert core._first_violation(_grown_rows(random.Random(60), parts, 60)) is None
-    assert taken == ["_bck1_by_columns", "_bck1_by_lanes"]
+    assert path(_grown_rows(random.Random(60), parts, 60)) == "_bck1_by_lanes"
 
 
 def test_leq_from_the_fixed_tables():
