@@ -38,7 +38,7 @@ from .bckfile import _excerpt
 from .construct import m_chain
 from .core import BckAlgebra, CayleyTable, _bck1_row, validate
 
-DEFAULT_ENUM_BUDGET = 6
+DEFAULT_ENUM_BUDGET = 7
 _CANONICAL_ORDER_LIMIT = 10
 
 Flat = tuple[int, ...]
@@ -455,7 +455,7 @@ def enumerate_algebras(
     Representatives are canonical forms in lexicographic order, computed
     deterministically regardless of ``jobs``.  ``jobs`` worker processes
     shard level n only; the lower levels are built serially and cached.
-    Orders above the budget (default 6) raise; raise the budget explicitly
+    Orders above the budget (default 7) raise; raise the budget explicitly
     to go higher.
     ``n``, ``jobs`` and a given ``budget`` must be ints (not bools), and
     ``jobs`` at least 1.

@@ -650,7 +650,7 @@ def test_enumerated_classes_are_counted_once(monkeypatch):
 
 def test_enumeration_respects_the_budget():
     with pytest.raises(ValueError, match="budget"):
-        enumerate_algebras(7)
+        enumerate_algebras(8)
     with pytest.raises(ValueError, match="budget"):
         enumerate_algebras(5, budget=4)
 
@@ -661,7 +661,7 @@ def test_budget_error_names_a_long_order_by_a_prefix():
     with pytest.raises(ValueError) as info:
         enumerate_algebras(int("9" * 4000))
     assert str(info.value) == (
-        f"order {shown} exceeds the enumeration budget 6; pass budget={shown} "
+        f"order {shown} exceeds the enumeration budget 7; pass budget={shown} "
         "to allow it"
     )
     with pytest.raises(ValueError, match=f"^order {10**19} exceeds .* budget={10**19} "):
