@@ -187,6 +187,14 @@ def related(rows_a: Rows, rows_b: Rows) -> bool:
     )
 
 
+def automorphism_count(rows: Rows) -> int:
+    """0-fixing permutations that map the table onto itself, over all of them."""
+    n = len(rows)
+    return sum(
+        relabeled(rows, (0,) + tail) == rows for tail in permutations(range(1, n))
+    )
+
+
 def canonical_flat(rows: Rows) -> Rows:
     """The least relabeled table over every 0-fixing permutation; any table."""
     n = len(rows)

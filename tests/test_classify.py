@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,8 @@ def test_order_seven_level_census_and_worker_counts():
     census = degree_census(7, budget=7)
     assert census == {Fraction(k, 49): c for k, c in ORDER_7_CENSUS.items()}
     assert list(classify._extend_level(classify._level(6), jobs=2)) == flats
+    perms = cache(classify._build_perms)
+    assert _mass(7, perms) == _extension_mass(7, perms) == Fraction(1893863, 240)
     # the transfer lemmas, against the naive count: +3 for a top extension,
     # +2n+1 for a union with 2
     for algebra in algebras:
@@ -489,6 +492,70 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             if tuple(row[:m] for row in t[:m]) == rows
             and m in _smallest_maximal(t)
         }
+
+
+def _automorphism_count(flat, n, perms):
+    """|Aut A| for a canonical flat: the relabelings that ``_canonical_flat``
+    tries (sigma(a) = 1 for a row a with the most zeros) and that reproduce
+    it.  These form a coset of Aut A, the one through the identity, and
+    each sends a row with the most zeros to row 1, so none is missed."""
+    if n == 1:
+        return 1  # the identity, which fixes 0, is the only relabeling
+    table = bytes(flat)
+    head = table[n : 3 * n]
+    zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
+    most = max(zeros)
+    count = 0
+    for a in [x for x, z in enumerate(zeros, 1) if z == most]:
+        for prefix, gather, values in perms(n, a):
+            moved = table.translate(values)
+            count += bytes(prefix(moved)) == head and bytes(gather(moved)) == table
+    return count
+
+
+def _mass(n, perms):
+    """The sum of 1/|Aut A| over the classes A of order n."""
+    return sum(Fraction(1, _automorphism_count(a.table.flat(), n, perms))
+               for a in classify._level(n))
+
+
+def _extension_mass(n, perms):
+    """The sum over the classes B of order n-1 of 1/|Aut B| times the sum of
+    1/w(E) over E in ``_extensions(B)``, w(E) being the number of maximal
+    elements of E with the smallest down-set among the maximal ones."""
+    total = Fraction(0)
+    for base in classify._level(n - 1):
+        weights = sum(
+            Fraction(1, len(_smallest_maximal([e[x * n : (x + 1) * n] for x in range(n)])))
+            for e in classify._extensions(base.table.rows)
+        )
+        total += weights / _automorphism_count(base.table.flat(), n - 1, perms)
+    return total
+
+
+def test_automorphism_counts_match_the_oracle():
+    perms = cache(classify._build_perms)
+    for n in range(1, 7):
+        for algebra in classify._level(n):
+            rows = algebra.table.rows
+            assert _automorphism_count(algebra.table.flat(), n, perms) == (
+                oracle.automorphism_count(rows)
+            ), rows
+
+
+def test_mass_formula_ties_each_level_to_the_extensions_below_it():
+    # count the labeled tables on 0..n-1, each with one of its maximal
+    # elements of smallest down-set chosen, in two ways: (n-1)! times either
+    # side.  It checks the canonical deduplication, the down-set cut and the
+    # completeness of _extensions, up to a whole class going missing
+    perms = cache(classify._build_perms)
+    masses = {n: _mass(n, perms) for n in range(2, 7)}
+    for n, mass in masses.items():
+        assert mass == _extension_mass(n, perms), n
+    assert [masses[n] for n in range(3, 7)] == [
+        Fraction(5, 2), Fraction(67, 6), Fraction(1735, 24), Fraction(3259, 5)
+    ]
+    assert 24 * masses[5] == len(oracle.pruned_valid_tables(5)) == 1735
 
 
 @pytest.mark.parametrize("n", range(2, 6))
