@@ -497,8 +497,9 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
 def _automorphism_count(flat, n, perms):
     """|Aut A| for a canonical flat: the relabelings that ``_canonical_flat``
     tries (sigma(a) = 1 for a row a with the most zeros) and that reproduce
-    it.  These form a coset of Aut A, the one through the identity, and
-    each sends a row with the most zeros to row 1, so none is missed."""
+    it.  Those that reproduce it are Aut A, and each sends a row with the
+    most zeros to row 1, as the canonical row 1 has the most, so none is
+    missed."""
     if n == 1:
         return 1  # the identity, which fixes 0, is the only relabeling
     table = bytes(flat)

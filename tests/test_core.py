@@ -122,7 +122,7 @@ def _assert_checker_agrees(rows):
     assert (None if found is None else (found.axiom, found.witness)) == want, rows
     assert core._first_violation(rows) == want, rows
     assert core._first_violation([list(row) for row in rows]) == want, rows
-    # both BCK1 paths, whichever the cost estimate would pick, once the
+    # both BCK1 paths, whichever the kernel rule would pick, once the
     # axioms checked before BCK1 hold
     if want is None or want[0] == "BCK1":
         for raw in (rows, [list(row) for row in rows]):
