@@ -472,8 +472,8 @@ def enumerate_algebras(
     order = _excerpt(str(n), str)
     if n > limit:
         raise ValueError(
-            f"order {order} exceeds the enumeration budget {limit}; pass "
-            f"budget={order} to allow it"
+            f"order {order} exceeds the enumeration budget {limit}; pass budget={order} "
+            f"(or set BCK_ENUM_BUDGET={order} for the bck command) to allow it"
         )
     return list(_level(n, jobs))
 

@@ -141,7 +141,7 @@ def cmd_synth(args) -> int:
     print(f"k: {result.pair_count}")
     print(f"index: {result.index if result.index is not None else '-'}")
     print(f"expression: {result.expression}")
-    print(_degree_line(result.algebra.commuting_report().pair_count, result.order))
+    print(_degree_line(result.order**2 - 2 * result.pair_count, result.order))
     if args.output is not None:
         _write_algebra(result.algebra, args.output)
     return 0

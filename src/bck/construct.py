@@ -17,6 +17,8 @@ element, so the algebra of order m along the way is the subalgebra on
 labels 0..m-1 of the final table.  The BCK axioms are universal (quasi-)identities,
 which every subalgebra inherits, so checking the final table in full checks
 every intermediate algebra too.
+
+``family`` and ``synthesize`` build and validate a table only when ``algebra`` is read.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
-    TC,
     BckAlgebra,
     CayleyTable,
     CommutingReport,
@@ -194,21 +196,13 @@ def union(*parts: BckAlgebra) -> BckAlgebra:
     """
     if not parts:
         raise ValueError("union requires at least one algebra")
-    # global label -> (component index, local element); the shared 0 is
-    # counted in the first part, whose labels are kept
-    owner = [(0, 0)] + [
-        (idx, local) for idx, part in enumerate(parts) for local in range(1, part.order)
-    ]
-    rows = []
-    for a, (pa, la) in enumerate(owner):
-        row = []
-        for pb, lb in owner:
-            if pa == pb:
-                local = parts[pa].op(la, lb)
-                row.append(0 if local == 0 else a - la + local)
-            else:
-                row.append(a)
-        rows.append(row)
+    rows = [list(row) for row in parts[0].table.rows]
+    for part in parts[1:]:
+        shift = len(rows) - 1  # local element v > 0 gets label v + shift
+        for x, row in enumerate(rows):
+            row.extend([x] * (part.order - 1))
+        for a, row in enumerate(part.table.rows[1:], start=shift + 1):
+            rows.append([a] * (shift + 1) + [v and v + shift for v in row[1:]])
     return validate(CayleyTable(rows))
 
 
@@ -282,9 +276,14 @@ def cd_set(n: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class FamilyEntry:
+    """A family construction; ``algebra`` is built and validated on first access."""
+
     expression: ConstructionExpr
-    algebra: BckAlgebra
     report: CommutingReport
+
+    @cached_property
+    def algebra(self) -> BckAlgebra:
+        return self.expression.evaluate()
 
 
 @dataclass(frozen=True)
@@ -317,16 +316,15 @@ _BASE_SCHEDULE = {
 def family(n: int) -> FamilyLevel:
     """Constructions realizing every achievable degree at order n, in order.
 
-    Entry j is ``trace_family_index(n, j)`` for j = 1..T(n-2); only the
-    order-n algebras are built.
+    Entry j is ``trace_family_index(n, j)`` for j = 1..T(n-2), with the
+    j-th numerator of ``cd_numerators(n)``; no table is built.
     """
     if n < 3:
         raise ValueError("family levels start at order 3")
-    entries = []
-    for j in range(1, triangular(n - 2) + 1):
-        expression = trace_family_index(n, j)
-        algebra = expression.evaluate()
-        entries.append(FamilyEntry(expression, algebra, algebra.commuting_report()))
+    entries = (
+        FamilyEntry(trace_family_index(n, j), CommutingReport(n, k, Fraction(k, n * n)))
+        for j, k in enumerate(_cd_range(n), start=1)
+    )
     return FamilyLevel(n, tuple(entries))
 
 
@@ -367,15 +365,19 @@ class SynthesisResult:
     ``CommutingReport.pair_count``, which counts *ordered commuting* pairs;
     the two are related by
     ``algebra.commuting_report().pair_count == order**2 - 2 * pair_count``.
+    ``algebra`` is built and validated on first access.
     """
 
     target: Fraction
     expression: ConstructionExpr
-    algebra: BckAlgebra
     order: int
     pair_count: int
     index: int | None
     escalated: bool
+
+    @cached_property
+    def algebra(self) -> BckAlgebra:
+        return self.expression.evaluate()
 
 
 def synthesize(p: int, q: int) -> SynthesisResult:
@@ -393,11 +395,9 @@ def synthesize(p: int, q: int) -> SynthesisResult:
     if target > 1:
         raise ValueError("commuting degrees cannot exceed 1")
     if target == 1:
-        return SynthesisResult(target, ConstructionExpr("TC"), TC, 3, 0, None, False)
+        return SynthesisResult(target, ConstructionExpr("TC"), 3, 0, None, False)
     p, q = target.numerator, target.denominator
     n = 2 * q if p > 1 else 4 * q
     k = n * n * (q - p) // (2 * q)
     j = triangular(n - 2) - k + 1
-    expression = trace_family_index(n, j)
-    algebra = expression.evaluate()
-    return SynthesisResult(target, expression, algebra, n, k, j, p == 1)
+    return SynthesisResult(target, trace_family_index(n, j), n, k, j, p == 1)

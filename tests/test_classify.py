@@ -730,7 +730,7 @@ def test_budget_error_names_a_long_order_by_a_prefix():
         enumerate_algebras(int("9" * 4000))
     assert str(info.value) == (
         f"order {shown} exceeds the enumeration budget 7; pass budget={shown} "
-        "to allow it"
+        f"(or set BCK_ENUM_BUDGET={shown} for the bck command) to allow it"
     )
     with pytest.raises(ValueError, match=f"^order {10**19} exceeds .* budget={10**19} "):
         enumerate_algebras(10**19)

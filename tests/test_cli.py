@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bck import core
 from bck.bckfile import emit_bck, parse_bck
 from bck.cli import main
 from bck.construct import b_star, m_chain, synthesize, union
@@ -229,6 +230,32 @@ def test_synth_worked_example(tmp_path, capsys):
     assert (algebra.order**2 - algebra.commuting_report().pair_count) // 2 == 30
 
 
+def refuse_tables(monkeypatch):
+    def refuse(table):
+        raise AssertionError(f"an order-{table.order} table was built")
+
+    monkeypatch.setattr(core, "find_violation", refuse)
+
+
+def test_family_builds_no_table(capsys, monkeypatch):
+    refuse_tables(monkeypatch)
+    code, out, _ = run(capsys, "family", "100")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4851
+    assert (lines[0], lines[-1]) == ("298/10000 = 149/5000", "9998/10000 = 4999/5000")
+
+
+def test_synth_builds_no_table_without_output(capsys, monkeypatch):
+    refuse_tables(monkeypatch)
+    code, out, _ = run(capsys, "synth", "99999/100000")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == "order: 200000"
+    assert lines[-1].endswith(" = 99999/100000")
+
+
 def test_synth_notes_escalation(capsys):
     code, out, _ = run(capsys, "synth", "1/2")
     assert code == 0
@@ -290,7 +317,7 @@ def test_enum_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BCK_ENUM_BUDGET", "4")
     code, _, err = run(capsys, "enum", "5", "--count-only")
     assert code == 1
-    assert "budget" in err
+    assert "BCK_ENUM_BUDGET=5" in err
     for bad in ("abc", "0", "-1"):
         monkeypatch.setenv("BCK_ENUM_BUDGET", bad)
         code, out, err = run(capsys, "enum", "3", "--count-only")

@@ -1,5 +1,6 @@
 """Unions, top extensions, extremal families, degree schedules, synthesis."""
 
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -98,6 +99,28 @@ def test_cross_component_pairs_commute_with_meet_zero():
 def test_union_results_revalidate():
     for algebra in corpus(4):
         assert find_violation(union(algebra, TWO).table) is None
+
+
+def union_by_cells(*parts):
+    """The union's rows cell by cell: x*y = x across parts, and each part's
+    own operation on its labels within it."""
+    # label -> (part, local element); the shared 0 belongs to part 0
+    owner = [(0, 0)] + [
+        (i, v) for i, part in enumerate(parts) for v in range(1, part.order)
+    ]
+    label = {element: a for a, element in enumerate(owner)}
+    return tuple(
+        tuple(label.get((i, parts[i].op(u, v)), 0) if i == j else a for j, v in owner)
+        for a, (i, u) in enumerate(owner)
+    )
+
+
+def test_union_matches_a_per_cell_reference_on_random_unions():
+    classes = [a for n in range(1, 5) for a in classify.enumerate_algebras(n)]
+    rng = random.Random(2000)
+    for _ in range(2000):
+        parts = rng.choices(classes, k=rng.randint(1, 5))
+        assert union(*parts).table.rows == union_by_cells(*parts)
 
 
 # --- top extension -----------------------------------------------------------
@@ -286,6 +309,9 @@ def test_family_degrees_cover_the_achievable_set():
             assert entry.algebra.order == n
             assert find_violation(entry.algebra.table) is None
             assert entry.expression.order == n
+            # the report is the formula; check it against the built table
+            assert entry.algebra.commuting_report() == entry.report
+            assert oracle.pair_count(entry.algebra.table.rows) == entry.report.pair_count
 
 
 def test_family_rejects_orders_below_three():
@@ -357,11 +383,18 @@ def test_constructions_check_only_the_algebras_they_return(monkeypatch):
         assert count(expression.evaluate) == 1
         # the leaf is the standard algebra itself; each later step is checked
         assert count(expression.steps) == expression.order - expression.steps()[0].order
+    # a family entry or synthesis result builds its table when first read
     for n in range(3, 11):
-        assert count(family, n) == triangular(n - 2)
+        assert count(family, n) == 0
+        level = family(n)
+        assert count(lambda: [e.algebra for e in level.entries]) == triangular(n - 2)
     for n in range(4, 20):
         assert count(b_star, n) == 1
-    assert count(synthesize, 2, 5) == count(synthesize, 1, 12) == 1
+    for p, q in ((2, 5), (1, 12), (1, 1)):
+        assert count(synthesize, p, q) == 0
+        result = synthesize(p, q)
+        assert count(lambda: result.algebra) == 1
+        assert count(lambda: result.algebra) == 0
 
 
 def test_deep_expressions_do_not_recurse():
@@ -513,6 +546,8 @@ def test_synthesis_is_exact_at_the_prescribed_order(pq):
     n = 2 * q if p > 1 else 4 * q
     assert result.order == n
     assert oracle.pair_count(result.algebra.table.rows) * q == n * n * p
+    # the identity `bck synth` prints its degree line from
+    assert n * n - 2 * result.pair_count == oracle.pair_count(result.algebra.table.rows)
 
 
 def test_synthesis_rejects_bad_inputs():
