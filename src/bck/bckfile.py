@@ -83,9 +83,9 @@ def parse_bck(text: str) -> CayleyTable:
                 line_no, f"row {x + 1} has {len(parts)} entries, expected {size}"
             )
         if cells is None:
-            cells = {str(v): v for v in range(n)}.__getitem__
+            cells = {str(v): v for v in range(n)}
         try:
-            rows.append(tuple(map(cells, parts)))
+            rows.append(tuple(map(cells.__getitem__, parts)))
             continue
         except KeyError:
             pass
@@ -97,9 +97,8 @@ def parse_bck(text: str) -> CayleyTable:
                     line_no, f"non-numeric entry {_excerpt(part)} at row {x + 1}"
                 )
             digits = part.lstrip("0") or "0"
-            # more digits than n has is a value above n, whatever int() allows
-            v = int(digits) if len(digits) <= len(str(n)) else n
-            if v >= n:
+            v = cells.get(digits)
+            if v is None:
                 shown = digits if len(digits) <= _EXCERPT else _excerpt(part)
                 raise ParseError(
                     line_no,

@@ -67,12 +67,9 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
     if perm[0] != 0:
         raise ValueError("relabelings must fix element 0")
-    rows = [[0] * n for _ in range(n)]
     old = table.rows
-    for x in range(n):
-        for y in range(n):
-            rows[perm[x]][perm[y]] = perm[old[x][y]]
-    return CayleyTable(tuple(tuple(row) for row in rows))
+    inverse = sorted(range(n), key=perm.__getitem__)
+    return CayleyTable([[perm[old[x][y]] for y in inverse] for x in inverse])
 
 
 def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], ...]:

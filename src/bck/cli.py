@@ -20,10 +20,10 @@ from .construct import (
     _cd_range,
     b_star,
     extend_top,
-    family,
     m_chain,
     parse_expr,
     synthesize,
+    trace_family_index,
     union,
 )
 from .core import BckAlgebra, find_violation, validate
@@ -98,16 +98,9 @@ def cmd_op_union(args) -> int:
     return 0
 
 
-def cmd_family(args) -> int:
-    for entry in family(args.n).entries:
-        line = _degree_line(entry.report.pair_count, args.n)
-        if args.exprs:
-            line = f"{entry.expression}  {line}"
-        print(line)
-    return 0
-
-
 def cmd_cdset(args) -> int:
+    """``cdset`` and ``family``: each degree at order n as it is made, led by
+    its family expression under ``--exprs``."""
     numerators = _cd_range(args.n)
     try:
         str(args.n * args.n)  # every line prints n*n
@@ -116,8 +109,11 @@ def cmd_cdset(args) -> int:
             f"order {bckfile._excerpt(str(args.n), str)} too large: n*n has "
             f"more than {sys.get_int_max_str_digits()} digits"
         ) from None
-    for k in numerators:
-        print(_degree_line(k, args.n))
+    for j, k in enumerate(numerators, start=1):
+        line = _degree_line(k, args.n)
+        if args.exprs:
+            line = f"{trace_family_index(args.n, j)}  {line}"
+        print(line)
     return 0
 
 
@@ -284,11 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="list constructions covering every degree at order N")
     p.add_argument("n", type=_order)
     p.add_argument("--exprs", action="store_true")
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(func=cmd_cdset)
 
     p = sub.add_parser("cdset", help="list all achievable non-commutative degrees at order N")
     p.add_argument("n", type=_order)
-    p.set_defaults(func=cmd_cdset)
+    p.set_defaults(func=cmd_cdset, exprs=False)
 
     p = sub.add_parser("synth", help="build an algebra with commuting degree exactly P/Q")
     p.add_argument("fraction", metavar="P/Q")

@@ -301,8 +301,9 @@ class FamilyLevel:
         return len(self.entries)
 
 
-# The family's base levels, in increasing degree order; every later level
-# is derived from the order-4 one by the schedule in trace_family_index().
+# The family's base levels, in increasing degree order.  Each level m+1 > 4
+# is the +T of every entry at order m, then the +2 of the last m-1 of them;
+# trace_family_index() walks that schedule backward.
 _BASE_SCHEDULE = {
     3: (ConstructionExpr("PI"),),
     4: (
@@ -317,7 +318,8 @@ def family(n: int) -> FamilyLevel:
     """Constructions realizing every achievable degree at order n, in order.
 
     Entry j is ``trace_family_index(n, j)`` for j = 1..T(n-2), with the
-    j-th numerator of ``cd_numerators(n)``; no table is built.
+    j-th numerator of ``cd_numerators(n)``; no table is built.  The level
+    holds T(n-2) spines of up to n-3 operators, O(n^3) in all.
     """
     if n < 3:
         raise ValueError("family levels start at order 3")
@@ -331,28 +333,28 @@ def family(n: int) -> FamilyLevel:
 def trace_family_index(n: int, j: int) -> ConstructionExpr:
     """The expression at 1-based index j of family(n), without building the level.
 
-    Walks the level schedule backward.  A level above 4 is the +T of each
-    of its t = T(m-2) predecessors at order m, then the +2 of the last m-1
-    of them, so its degrees come out in increasing order again: index i came
-    from predecessor i via +T when i <= t, else from predecessor
-    t-(m-1)+(i-t) via +2.  Terminates at a base level of ``_BASE_SCHEDULE``.
+    Walks by c = T(n-2) - j + 1, the entry's count of unordered
+    non-commuting pairs, down the schedule of ``_BASE_SCHEDULE``.  A +T to
+    order m+1 adds m-1 to c, since the new top commutes only with 0 and
+    itself, so it gives c >= m; a +2 adds no pair, and takes the last m-1
+    entries of order m, whose c runs from m-1 down to 1.  So c >= m came by
+    +T from c-(m-1), and c < m by +2 from c.  The walk ends at the base
+    entry with the c that is left.
     """
     if n < 3:
         raise ValueError("family levels start at order 3")
-    if not 1 <= j <= triangular(n - 2):
+    size = triangular(n - 2)
+    if not 1 <= j <= size:
         raise ValueError(f"index {j} out of range for order {n}")
+    c = size - j + 1
     ops: list[str] = []
-    level = n
-    while level > 4:
-        m = level - 1
-        t = triangular(m - 2)
-        if j <= t:
+    for m in range(n - 1, 3, -1):
+        if c >= m:
             ops.append(OP_EXTEND)
+            c -= m - 1
         else:
             ops.append(OP_UNION2)
-            j -= m - 1  # predecessor t-(m-1)+(j-t)
-        level -= 1
-    base = _BASE_SCHEDULE[level][j - 1]
+    base = _BASE_SCHEDULE[min(n, 4)][-c]  # a base level's last entry has c = 1
     return ConstructionExpr(base.seed, base.ops + tuple(reversed(ops)))
 
 

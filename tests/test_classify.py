@@ -672,7 +672,8 @@ def test_extensions_never_run_the_full_axiom_check(monkeypatch, m):
 
     monkeypatch.setattr(core, "_first_violation", refuse)
     monkeypatch.setattr(core, "find_violation", refuse)
-    monkeypatch.setattr(classify, "_first_violation", refuse, raising=False)
+    monkeypatch.setattr(core, "_bck1_by_columns", refuse)
+    monkeypatch.setattr(core, "_bck1_by_lanes", refuse)
     assert [classify._extensions(rows) for rows in bases] == expected
 
 

@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from bck import core
 from bck.bckfile import emit_bck, parse_bck
 from bck.cli import main
-from bck.construct import b_star, m_chain, synthesize, union
+from bck.construct import b_star, family, m_chain, synthesize, union
 from bck.core import PI, TC, TWO, find_violation, validate
 
 
@@ -151,6 +152,43 @@ def test_family_listing(capsys):
         "21/25",
         "23/25",
     ]
+
+
+def test_family_prints_the_cdset_lines_led_by_the_family_expressions(capsys):
+    for n in range(3, 31):
+        code, cdset, _ = run(capsys, "cdset", str(n))
+        assert code == 0
+        assert run(capsys, "family", str(n)) == (0, cdset, "")
+        code, out, _ = run(capsys, "family", str(n), "--exprs")
+        assert code == 0
+        assert out.splitlines() == [
+            f"{e.expression}  {e.report.pair_count}/{n * n} = {e.report.degree}"
+            for e in family(n).entries
+        ]
+
+
+def test_family_below_order_three_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "family", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: commuting-degree sets start at order 3\n"
+
+
+class _Null(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("exprs", [[], ["--exprs"]])
+def test_family_streams_its_lines(monkeypatch, exprs):
+    # the level of order 200 holds 19,701 expressions (38 MiB); each line is
+    # printed as it is made
+    monkeypatch.setattr(sys, "stdout", _Null())
+    tracemalloc.start()
+    try:
+        assert main(["family", "200", *exprs]) == 0
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_cdset_listing(capsys):

@@ -470,12 +470,17 @@ def test_trace_of_the_level_four_entries():
 
 
 def test_trace_matches_family_levels():
-    for n in range(3, 10):
-        entries = family(n).entries
-        for j, entry in enumerate(entries, start=1):
-            traced = trace_family_index(n, j)
-            assert traced == entry.expression
-            assert traced.evaluate().table == entry.algebra.table
+    # the schedule run forward from order 4: level m+1 is the +T of every
+    # entry at order m, then the +2 of the last m-1 of them
+    assert [trace_family_index(3, 1)] == [parse_expr("PI")]
+    level = [parse_expr(text) for text in ("PI+T", "TC+T", "PI+2")]
+    for m in range(4, 61):
+        assert len(level) == triangular(m - 2)
+        assert [trace_family_index(m, j) for j in range(1, len(level) + 1)] == level
+        if m < 10:
+            for expr, k in zip(level, cd_numerators(m), strict=True):
+                assert oracle.pair_count(expr.evaluate().table.rows) == k
+        level = [e.extend_top() for e in level] + [e.union2() for e in level[-(m - 1):]]
 
 
 def test_trace_rejects_out_of_range_indices():

@@ -115,8 +115,7 @@ def test_valid_tables_have_no_violation():
 
 def _assert_checker_agrees(rows):
     # the same first axiom and least witness from find_violation, and from
-    # the raw-rows check on tuple rows and on the list rows that
-    # enumeration passes in
+    # the raw-rows check on tuple rows and on list rows
     want = oracle.first_violation(rows)
     found = find_violation(CayleyTable(rows))
     assert (None if found is None else (found.axiom, found.witness)) == want, rows
