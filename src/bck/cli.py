@@ -99,8 +99,7 @@ def cmd_op_union(args) -> int:
 
 
 def cmd_cdset(args) -> int:
-    """``cdset`` and ``family``: each degree at order n as it is made, led by
-    its family expression under ``--exprs``."""
+    """Stream each degree at order n, led by its family expression under ``--exprs``."""
     numerators = _cd_range(args.n)
     try:
         str(args.n * args.n)  # every line prints n*n
