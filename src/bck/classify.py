@@ -170,7 +170,9 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
 
     Quick invariant comparisons (order, commuting report, per-element
     signature multisets) reject most non-isomorphic pairs before the
-    backtracking search starts.
+    backtracking search starts.  Its pairwise checks on assigned products
+    only prune; a complete map is accepted by one check, that each row s
+    of a, mapped through sigma, is row sigma(s) of b read at sigma.
     """
     n = a.order
     if n != b.order:
@@ -194,13 +196,8 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
     inverse = [-1] * n
     inverse[0] = 0
     assigned = [0]
-    # the pairs (s, t) with s*t = x, per x; checked once both are assigned
-    preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, row in enumerate(ta):
-        for t, v in enumerate(row):
-            preimages[v].append((s, t))
 
-    def consistent(x: int, u: int) -> bool:
+    def consistent(x: int) -> bool:
         for y in assigned:
             for s, t in ((x, y), (y, x)):
                 v = ta[s][t]
@@ -210,10 +207,10 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
                         return False
                 elif inverse[w] >= 0:
                     return False
-        for s, t in preimages[x]:
-            if sigma[s] >= 0 and sigma[t] >= 0 and tb[sigma[s]][sigma[t]] != u:
-                return False
-        return True
+        if len(assigned) < n:
+            return True
+        at = itemgetter(*sigma)
+        return all(tuple(map(sigma.__getitem__, ta[s])) == at(tb[sigma[s]]) for s in range(n))
 
     # depth-first, as a loop so that no order is too deep for the stack;
     # tries[k] holds the candidates of order[k] not yet tried
@@ -228,7 +225,7 @@ def find_isomorphism(a: BckAlgebra, b: BckAlgebra) -> tuple[int, ...] | None:
             sigma[x] = u
             inverse[u] = x
             assigned.append(x)
-            if consistent(x, u):
+            if consistent(x):
                 break
             assigned.pop()
             sigma[x] = -1

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on domain errors (invalid tables, parse
-failures, out-of-range arguments), 2 on usage errors.  Results go to
-stdout, error messages to stderr.  The only environment variable read is
-BCK_ENUM_BUDGET, which overrides the enumeration budget.
+failures, out-of-range arguments), 2 on usage errors, and 1 with no
+message when the reader of stdout closes it early, as ``| head`` does.
+Results go to stdout, error messages to stderr.  The only environment
+variable read is BCK_ENUM_BUDGET, which overrides the enumeration budget.
 """
 
 from __future__ import annotations
@@ -321,6 +322,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout now writes to /dev/null, so that flushing it at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # the domain errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 
 from .core import (
     BckAlgebra,
@@ -39,9 +40,6 @@ from .core import (
 LEAF_NAMES = ("2", "PI", "TC")
 OP_EXTEND = "+T"
 OP_UNION2 = "+2"
-
-_PLAIN = {OP_EXTEND: OP_EXTEND, OP_UNION2: OP_UNION2}
-_PRETTY = {OP_EXTEND: "⊕⊤", OP_UNION2: "⊔2"}
 
 
 class ExprParseError(ValueError):
@@ -82,9 +80,8 @@ class ConstructionExpr:
             raise ValueError(f"unknown seed {self.seed!r}")
         if type(self.ops) is not tuple:
             raise ValueError(f"operators must be a tuple, got {self.ops!r}")
-        for op in self.ops:
-            if op not in (OP_EXTEND, OP_UNION2):
-                raise ValueError(f"unknown operator {op!r}")
+        for op in filterfalse((OP_EXTEND, OP_UNION2).__contains__, self.ops):
+            raise ValueError(f"unknown operator {op!r}")
 
     def extend_top(self) -> ConstructionExpr:
         return ConstructionExpr(self.seed, self.ops + (OP_EXTEND,))
@@ -120,19 +117,16 @@ class ConstructionExpr:
             for m in range(seed.order + 1, len(rows) + 1)
         ]
 
-    def _render(self, spelling: dict[str, str]) -> str:
-        ops = self.ops  # e.g. "((" + "PI" + "+T)+2)+T"
-        return "(" * (len(ops) - 1) + self.seed + ")".join(spelling[op] for op in ops)
-
     def __str__(self) -> str:
-        return self._render(_PLAIN)
+        ops = self.ops  # e.g. "((" + "PI" + "+T)+2)+T"
+        return "(" * (len(ops) - 1) + self.seed + ")".join(ops)
 
     def pretty(self) -> str:
         """Unicode rendering, e.g. ``(PI⊕⊤)⊔2``."""
-        return self._render(_PRETTY)
+        return str(self).replace(OP_EXTEND, "⊕⊤").replace(OP_UNION2, "⊔2")
 
     def __repr__(self) -> str:
-        return f"parse_expr({self._render(_PLAIN)!r})"
+        return f"parse_expr({str(self)!r})"
 
 
 # no token is a prefix of another, so alternation order does not matter

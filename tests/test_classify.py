@@ -198,7 +198,8 @@ def test_witnesses_relabel_source_to_target():
 # Pairs with equal orders, commuting reports and signature multisets, each
 # found by tracing the search: the first two reach the rejection of an
 # image already taken by another element (the second pair is isomorphic),
-# the third the rejection of a preimage pair whose product disagrees.
+# the third, at its sixth node, the rejection of an assigned product whose
+# image disagrees with the product of the images.
 REJECTING_PAIRS = [
     (
         ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0),
@@ -273,26 +274,40 @@ def test_distinct_enumerated_classes_are_not_isomorphic():
             assert find_isomorphism(a, b) is None
 
 
-def test_isomorphism_agrees_with_canonical_forms_on_order_five():
-    # every order-5 class against a seeded relabelling of every class:
-    # a witness exists exactly when the canonical forms coincide
+def test_isomorphism_agrees_with_canonical_forms_on_orders_five_and_six():
+    # each class against a seeded relabelling of itself and, at order 5, of
+    # every class; at order 6, of each class that shares its commuting report
+    # and signature multiset (113 pairs of classes), as only such pairs reach
+    # the search: a witness exists exactly when the canonical forms coincide
     rng = random.Random(29)
-    algebras = enumerate_algebras(5)
-    shuffled = []
-    for algebra in algebras:
-        tail = list(range(1, 5))
-        rng.shuffle(tail)
-        shuffled.append(validate(relabel(algebra.table, (0, *tail))))
-    forms = [canonical_form(a) for a in algebras]
-    matches = 0
-    for a, form in zip(algebras, forms):
-        for b in shuffled:
+    for n, classes, sharing in [(5, 88, 3), (6, 775, 113)]:
+        algebras = enumerate_algebras(n)
+        shuffled = []
+        for algebra in algebras:
+            tail = list(range(1, n))
+            rng.shuffle(tail)
+            shuffled.append(validate(relabel(algebra.table, (0, *tail))))
+        keys = [
+            (a.commuting_report(), sorted(classify._signatures(a.table)))
+            for a in algebras
+        ]
+        pairs = [
+            (i, j)
+            for i in range(len(algebras))
+            for j in range(len(algebras))
+            if n == 5 or keys[i] == keys[j]
+        ]
+        assert sum(keys[i] == keys[j] for i, j in pairs if i < j) == sharing
+        forms = [canonical_form(a) for a in algebras]
+        matches = 0
+        for i, j in pairs:
+            a, b = algebras[i], shuffled[j]
             witness = find_isomorphism(a, b)
-            assert (witness is not None) == (form == canonical_form(b))
+            assert (witness is not None) == (forms[i] == canonical_form(b))
             if witness is not None:
                 assert relabel(a.table, witness) == b.table
                 matches += 1
-    assert matches == len(algebras) == 88
+        assert matches == len(algebras) == classes
 
 
 def test_isomorphic_algebras_share_all_invariants():

@@ -2,12 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import bck
 from bck import core
 from bck.bckfile import emit_bck, parse_bck
 from bck.cli import main
@@ -189,6 +192,22 @@ def test_family_streams_its_lines(monkeypatch, exprs):
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_a_closed_pipe_stops_the_listing_without_a_message():
+    # the reader takes one line and closes the pipe, as ``| head -1`` does
+    src = os.path.dirname(os.path.dirname(bck.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bck.cli", "cdset", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"8998/9000000 = 4499/4500000\n"
+    proc.stdout.close()
+    assert (proc.stderr.read(), proc.wait()) == (b"", 1)
+    proc.stderr.close()
 
 
 def test_cdset_listing(capsys):

@@ -456,6 +456,7 @@ def test_expression_constructor_rejects_malformed_nodes():
         ("XYZ", (), "'XYZ'"),
         ("PI", ["+T"], "['+T']"),
         ("PI", "+T", "'+T'"),
+        ("PI", ("+T", ["+2"]), "['+2']"),
     ]:
         with pytest.raises(ValueError, match=re.escape(offender)):
             ConstructionExpr(seed, ops)
