@@ -19,18 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .core import BckAlgebra, CayleyTable
+from .core import _EXCERPT, BckAlgebra, CayleyTable, _excerpt
 
 HEADER = "bck 1"
-_EXCERPT = 20  # characters of an offending text that a message repeats
-
-
-def _excerpt(text: str, show=repr) -> str:
-    """The text as a message repeats it: shown (quoted by default), and cut
-    to a short prefix with its length when it is longer."""
-    if len(text) <= _EXCERPT:
-        return show(text)
-    return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):
@@ -62,12 +53,12 @@ def parse_bck(text: str) -> CayleyTable:
     if len(lines) < 2:
         raise ParseError(2, "missing order line")
     order = lines[1]
-    if not (order.isascii() and order.isdigit()):
-        raise ParseError(2, f"order is not a decimal integer: {_excerpt(order)}")
     try:
-        n = int(order.lstrip("0") or "0")
-    except ValueError:  # int() refuses more than 4,300 digits
-        raise ParseError(2, f"order too large: {_excerpt(order)}") from None
+        n = parse_decimal(order)
+    except ValueError:  # decimal text is refused only past int()'s digit limit
+        large = order.isascii() and order.isdigit()
+        reason = "too large:" if large else "is not a decimal integer:"
+        raise ParseError(2, f"order {reason} {_excerpt(order)}") from None
     if n < 1:
         raise ParseError(2, f"order must be positive, got {n}")
     size = n if n < 10**_EXCERPT else _excerpt(str(n))  # as messages repeat it
@@ -119,6 +110,8 @@ def emit_bck(table: CayleyTable, comments: Iterable[str] = ()) -> str:
     for row in table.rows:
         out.append(" ".join(map(names, row)))
     for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"comment is not one line: {_excerpt(comment)}")
         out.append(f"# {comment}")
     return "\n".join(out) + "\n"
 

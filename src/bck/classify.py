@@ -34,9 +34,8 @@ from functools import cache
 from itertools import chain, permutations
 from operator import itemgetter
 
-from .bckfile import _excerpt
 from .construct import m_chain
-from .core import BckAlgebra, CayleyTable, _bck1_row, validate
+from .core import BckAlgebra, CayleyTable, _bck1_row, _check_int, _excerpt, validate
 
 DEFAULT_ENUM_BUDGET = 7
 _CANONICAL_ORDER_LIMIT = 10
@@ -50,13 +49,6 @@ def _check_labels(labels: tuple[int, ...], n: int) -> None:
     for v in labels:
         if type(v) is not int or not 0 <= v < n:
             raise ValueError(f"label {v!r} is not an element of 0..{n - 1}")
-
-
-def _check_int(name: str, value: object) -> None:
-    """Refuse an argument that is not an int by ``CayleyTable``'s rule, so
-    that ``True``, ``5.0`` or ``'2'`` is named rather than used."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {_excerpt(repr(value), str)}")
 
 
 def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
@@ -253,7 +245,7 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
     (x, y) lies in the last row or column, e = n-1, and the other cells
     outside them hold a valid base.  Unknown cells hold -1; instances that
     still involve one are skipped (the completed table's BCK1 instances
-    with x = e get a final check in ``_leaf_ok``).  Sound pruning: only
+    with x = e get a final check in ``_flat_valid``).  Sound pruning: only
     definite violations reject a branch.
     """
     n = len(t)
@@ -299,7 +291,7 @@ def _partial_ok(t: list[list[int]], x: int, y: int) -> bool:
     return True
 
 
-def _leaf_ok(t: list[list[int]]) -> bool:
+def _flat_valid(t: list[list[int]]) -> bool:
     """Whether a table completed by ``_extensions`` satisfies BCK1 at every
     instance with x = e = n-1: ((e*y)*(e*z))*(z*y) = 0 for all y and z.
 
@@ -348,7 +340,7 @@ def _extensions(base: Rows) -> list[Flat]:
     x*e = 0: the column alone fixes both sizes, as e*u != 0 for a maximal
     e, and a base element that is not maximal in the base is not maximal
     in the table.  Each set cell is checked by ``_partial_ok``, and each
-    completed table by ``_leaf_ok``, which together cover every axiom
+    completed table by ``_flat_valid``, which together cover every axiom
     instance that reads row or column e.
     """
     m = e = len(base)
@@ -378,7 +370,7 @@ def _extensions(base: Rows) -> list[Flat]:
 
     def fill_row(y: int, values: list[int]) -> None:
         if y == e:
-            if _leaf_ok(t):
+            if _flat_valid(t):
                 found.append(tuple(chain.from_iterable(t)))
             return
         for v in values:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bckfile, classify
+from . import classify
 from .bckfile import emit_bck, emit_hasse_dot, parse_bck, parse_decimal
 from .construct import (
     _cd_range,
@@ -27,7 +27,7 @@ from .construct import (
     trace_family_index,
     union,
 )
-from .core import BckAlgebra, find_violation, validate
+from .core import BckAlgebra, _excerpt, find_violation, validate
 
 
 def _read_table(path: str):
@@ -106,7 +106,7 @@ def cmd_cdset(args) -> int:
         str(args.n * args.n)  # every line prints n*n
     except ValueError:  # past Python's digit limit for printing an int
         raise ValueError(
-            f"order {bckfile._excerpt(str(args.n), str)} too large: n*n has "
+            f"order {_excerpt(str(args.n), str)} too large: n*n has "
             f"more than {sys.get_int_max_str_digits()} digits"
         ) from None
     for j, k in enumerate(numerators, start=1):
@@ -120,13 +120,13 @@ def cmd_cdset(args) -> int:
 def cmd_synth(args) -> int:
     parts = args.fraction.split("/")
     if len(parts) != 2:
-        raise ValueError(f"expected P/Q, got {bckfile._excerpt(args.fraction)}")
+        raise ValueError(f"expected P/Q, got {_excerpt(args.fraction)}")
     try:
         p, q = parse_decimal(parts[0]), parse_decimal(parts[1])
     except ValueError:  # int() refuses more than 4,300 digits: too large
         large = all(part.isascii() and part.isdigit() for part in parts)
         reason = "P/Q too large:" if large else "expected integers in P/Q, got"
-        raise ValueError(f"{reason} {bckfile._excerpt(args.fraction)}") from None
+        raise ValueError(f"{reason} {_excerpt(args.fraction)}") from None
     result = synthesize(p, q)
     if result.escalated:
         print(
@@ -152,20 +152,18 @@ def _enum_budget() -> int | None:
     except ValueError:
         budget = 0
     if budget < 1:
-        shown = bckfile._excerpt(value)
+        shown = _excerpt(value)
         raise ValueError(f"BCK_ENUM_BUDGET must be a positive integer, got {shown}")
     return budget
 
 
 def _order(text: str) -> int:
-    """An order argument, read as argparse reads ``type=int``, with a long
-    text named by a prefix in the usage error."""
+    """An order argument, read by :func:`parse_decimal`, with a long text
+    named by a prefix in the usage error."""
     try:
-        return int(text)
+        return parse_decimal(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {bckfile._excerpt(text)}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
 
 
 def _flags(algebra: BckAlgebra) -> str:

@@ -33,6 +33,7 @@ from .core import (
     BckAlgebra,
     CayleyTable,
     CommutingReport,
+    _check_int,
     standard_algebras,
     validate,
 )
@@ -230,6 +231,7 @@ def m_chain(n: int) -> BckAlgebra:
     Equals the iterated top extension of the order-2 algebra and realizes
     the minimum commuting degree (3n-2)/n^2 among order-n algebras.
     """
+    _check_int("n", n)
     if n < 2:
         raise ValueError("m_chain requires order >= 2")
     return ConstructionExpr("2", (OP_EXTEND,) * (n - 2)).evaluate()
@@ -241,6 +243,7 @@ def b_star(n: int) -> BckAlgebra:
     Realizes the maximum non-commutative degree (n^2-2)/n^2; the poset is
     a star of n-2 atoms with one extra element above the first atom.
     """
+    _check_int("n", n)
     if n < 3:
         raise ValueError("b_star requires order >= 3")
     return ConstructionExpr("PI", (OP_UNION2,) * (n - 3)).evaluate()
@@ -257,6 +260,7 @@ def cd_numerators(n: int) -> list[int]:
 
 def _cd_range(n: int) -> range:
     """:func:`cd_numerators` as a lazy range, for orders too large to list."""
+    _check_int("n", n)
     if n < 3:
         raise ValueError("commuting-degree sets start at order 3")
     return range(3 * n - 2, n * n - 1, 2)
@@ -264,8 +268,7 @@ def _cd_range(n: int) -> range:
 
 def cd_set(n: int) -> list[Fraction]:
     """All achievable non-commutative degrees at order n, increasing, reduced."""
-    nn = n * n
-    return [Fraction(k, nn) for k in cd_numerators(n)]
+    return [Fraction(k, n * n) for k in cd_numerators(n)]
 
 
 @dataclass(frozen=True)
@@ -315,6 +318,7 @@ def family(n: int) -> FamilyLevel:
     j-th numerator of ``cd_numerators(n)``; no table is built.  The level
     holds T(n-2) spines of up to n-3 operators, O(n^3) in all.
     """
+    _check_int("n", n)
     if n < 3:
         raise ValueError("family levels start at order 3")
     entries = (
@@ -335,6 +339,8 @@ def trace_family_index(n: int, j: int) -> ConstructionExpr:
     +T from c-(m-1), and c < m by +2 from c.  The walk ends at the base
     entry with the c that is left.
     """
+    _check_int("n", n)
+    _check_int("j", j)
     if n < 3:
         raise ValueError("family levels start at order 3")
     size = triangular(n - 2)
@@ -385,6 +391,8 @@ def synthesize(p: int, q: int) -> SynthesisResult:
     n = 2q, k <= T(2q-2) = (q-1)(2q-1) iff 2pq >= 3q-1, which fails only for
     p = 1; at n = 4q, 8q(q-1) <= (2q-1)(4q-1) holds for every q.
     """
+    _check_int("p", p)
+    _check_int("q", q)
     if p <= 0 or q <= 0:
         raise ValueError("degree must be a positive rational")
     target = Fraction(p, q)

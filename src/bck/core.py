@@ -35,6 +35,22 @@ _from = int.from_bytes
 # _EQ[d] maps the byte d to 1 and every other byte to 0
 _EQ = tuple(bytes(d) + b"\x01" + bytes(255 - d) for d in range(256))
 _NONZERO = b"\x00" + b"\x01" * 255
+_EXCERPT = 20  # characters of an offending text that a message repeats
+
+
+def _excerpt(text: str, show=repr) -> str:
+    """The text as a message repeats it: shown (quoted by default), and cut
+    to a short prefix with its length when it is longer."""
+    if len(text) <= _EXCERPT:
+        return show(text)
+    return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
+
+
+def _check_int(name: str, value: object) -> None:
+    """Refuse an argument that is not an int by ``CayleyTable``'s rule, so
+    that ``True``, ``5.0`` or ``'2'`` is named rather than used."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {_excerpt(repr(value), str)}")
 
 
 class FormatError(ValueError):

@@ -169,6 +169,27 @@ def pruned_valid_tables(n: int) -> tuple[Rows, ...]:
     return tuple(out)
 
 
+def union(*parts: Rows) -> Rows:
+    """The parts glued at their shared 0, cell by cell: the first part keeps
+    its labels, each later part's nonzero elements take the next labels in
+    order, and x*y = x across parts."""
+    # label -> (part, local element); the shared 0 belongs to part 0
+    owner = [(0, 0)] + [
+        (i, v) for i, part in enumerate(parts) for v in range(1, len(part))
+    ]
+    label = {element: a for a, element in enumerate(owner)}
+    return tuple(
+        tuple(label.get((i, parts[i][u][v]), 0) if i == j else a for j, v in owner)
+        for a, (i, u) in enumerate(owner)
+    )
+
+
+def extend_top(rows: Rows) -> Rows:
+    """The table with a new top T = n adjoined: x*T = 0 and T*x = T."""
+    n = len(rows)
+    return tuple(tuple(row) + (0,) for row in rows) + ((n,) * n + (0,),)
+
+
 def relabeled(rows: Rows, sigma: tuple[int, ...]) -> Rows:
     n = len(rows)
     out = [[0] * n for _ in range(n)]

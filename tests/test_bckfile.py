@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bck import classify
+from bck import classify, core
 from bck.bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck
 from bck.construct import b_star, family, m_chain
 from bck.core import PI, CayleyTable, validate
@@ -73,6 +73,18 @@ def test_parse_raises_only_parse_errors(text):
     except ParseError:
         return
     assert parse_bck(emit_bck(table)) == table
+
+
+@given(st.lists(st.text(_CHARS, max_size=30), max_size=3))
+def test_emit_refuses_the_comments_parse_would_not_read_back(comments):
+    # LF would end the comment's line and CR is refused as a CRLF ending
+    try:
+        text = emit_bck(PI.table, comments)
+    except ValueError as exc:
+        bad = next(c for c in comments if "\n" in c or "\r" in c)
+        assert str(exc) == f"comment is not one line: {core._excerpt(bad)}"
+        return
+    assert parse_bck(text) == PI.table
 
 
 def test_round_trip_ignores_comments():

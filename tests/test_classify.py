@@ -623,15 +623,15 @@ def test_leaf_check_agrees_with_the_oracle_on_every_completed_table(monkeypatch)
     # every table the order-5 search completes (and those of the smaller
     # levels) is judged as the full naive axiom check judges it
     judged = []
-    leaf_ok = classify._leaf_ok
+    flat_valid = classify._flat_valid
 
     def record(t):
-        verdict = leaf_ok(t)
+        verdict = flat_valid(t)
         judged.append((tuple(map(tuple, t)), verdict))
         return verdict
 
     bases = [base.table.rows for m in range(1, 5) for base in enumerate_algebras(m)]
-    monkeypatch.setattr(classify, "_leaf_ok", record)
+    monkeypatch.setattr(classify, "_flat_valid", record)
     for rows in bases:
         classify._extensions(rows)
     assert len(judged) == 1 + 3 + 15 + 110
@@ -644,18 +644,18 @@ def test_leaf_check_reads_every_bck1_instance_through_the_new_element(monkeypatc
     # every table the search completes over the order-5 classes, each of
     # which passed ``_partial_ok`` at every cell, is judged as a naive scan
     # of the BCK1 instances through e judges it; every rejected table fails
-    # only where x = e, as ``_leaf_ok`` leaves y = e and z = e to
+    # only where x = e, as ``_flat_valid`` leaves y = e and z = e to
     # ``_partial_ok``
     judged = []
-    leaf_ok = classify._leaf_ok
+    flat_valid = classify._flat_valid
 
     def record(t):
-        verdict = leaf_ok(t)
+        verdict = flat_valid(t)
         judged.append((tuple(map(tuple, t)), verdict))
         return verdict
 
     bases = [base.table.rows for base in enumerate_algebras(5)]
-    monkeypatch.setattr(classify, "_leaf_ok", record)
+    monkeypatch.setattr(classify, "_flat_valid", record)
     for rows in bases:
         classify._extensions(rows)
     e = 5

@@ -82,6 +82,79 @@ def test_order_arguments_name_long_text_by_a_prefix(capsys, argv):
         assert len(err.splitlines()) == 2 and len(err) < 200
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of a command, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _order_file(tmp_path, text):
+    path = tmp_path / "order.bck"
+    path.write_text(f"bck 1\n{text}\n0\n")
+    return str(path)
+
+
+def _with_budget(monkeypatch, text):
+    monkeypatch.setenv("BCK_ENUM_BUDGET", text)
+    return ["enum", "3", "--count-only"]
+
+
+ORDER_COMMANDS = [
+    ["build", "mn"], ["build", "bn"], ["family"], ["cdset"], ["enum"], ["census"]
+]
+
+# each integer text the program reads: the argv that passes it a text, the
+# exit code and the message that ends stderr when the text is refused
+INTEGER_TEXTS = {
+    **{
+        " ".join(command): (
+            lambda t, *_, command=command: [*command, t],
+            2,
+            "argument n: invalid int value: {!r}",
+        )
+        for command in ORDER_COMMANDS
+    },
+    ".bck order line": (
+        lambda t, tmp_path, _: ["verify", _order_file(tmp_path, t)],
+        1,
+        "line 2: order is not a decimal integer: {!r}",
+    ),
+    "P/Q": (
+        lambda t, *_: ["synth", f"1/{t}"],
+        1,
+        "expected integers in P/Q, got '1/{}'",
+    ),
+    "BCK_ENUM_BUDGET": (
+        lambda t, _, monkeypatch: _with_budget(monkeypatch, t),
+        1,
+        "BCK_ENUM_BUDGET must be a positive integer, got {!r}",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", ["+5", " 5", "5 ", "1_0", "\u0665", "-3"])
+@pytest.mark.parametrize("entry", INTEGER_TEXTS)
+def test_every_integer_text_is_read_by_one_rule(
+    capsys, monkeypatch, tmp_path, entry, text
+):
+    # int() reads these as 5, 10 or -3; each entry refuses them with its message
+    argv, want_code, message = INTEGER_TEXTS[entry]
+    code, out, err = _outcome(capsys, argv(text, tmp_path, monkeypatch))
+    assert (code, out) == (want_code, "")
+    assert err.endswith(f"error: {message.format(text)}\n")
+
+
+@pytest.mark.parametrize("argv", ORDER_COMMANDS)
+def test_order_arguments_ignore_leading_zeros(capsys, argv):
+    code, out, err = _outcome(capsys, [*argv, "05"])
+    assert (code, out, err) == (0, *_outcome(capsys, [*argv, "5"])[1:])
+    assert out
+
+
 def test_cd_prints_raw_and_reduced(tmp_path, capsys):
     code, out, _ = run(capsys, "cd", write(tmp_path / "pi.bck", PI))
     assert (code, out) == (0, "7/9 = 7/9\n")

@@ -101,26 +101,12 @@ def test_union_results_revalidate():
         assert find_violation(union(algebra, TWO).table) is None
 
 
-def union_by_cells(*parts):
-    """The union's rows cell by cell: x*y = x across parts, and each part's
-    own operation on its labels within it."""
-    # label -> (part, local element); the shared 0 belongs to part 0
-    owner = [(0, 0)] + [
-        (i, v) for i, part in enumerate(parts) for v in range(1, part.order)
-    ]
-    label = {element: a for a, element in enumerate(owner)}
-    return tuple(
-        tuple(label.get((i, parts[i].op(u, v)), 0) if i == j else a for j, v in owner)
-        for a, (i, u) in enumerate(owner)
-    )
-
-
 def test_union_matches_a_per_cell_reference_on_random_unions():
     classes = [a for n in range(1, 5) for a in classify.enumerate_algebras(n)]
     rng = random.Random(2000)
     for _ in range(2000):
         parts = rng.choices(classes, k=rng.randint(1, 5))
-        assert union(*parts).table.rows == union_by_cells(*parts)
+        assert union(*parts).table.rows == oracle.union(*(p.table.rows for p in parts))
 
 
 # --- top extension -----------------------------------------------------------
@@ -565,3 +551,32 @@ def test_synthesis_rejects_bad_inputs():
         synthesize(7, 5)
     with pytest.raises(ValueError):
         synthesize(-2, 5)
+
+
+# --- integer arguments ---------------------------------------------------------
+
+_ARG = object()  # where the tested argument goes
+
+
+@pytest.mark.parametrize("value", [True, 3.0, "3", Fraction(3)])
+@pytest.mark.parametrize(
+    "function, args, name",
+    [
+        (m_chain, (_ARG,), "n"),
+        (b_star, (_ARG,), "n"),
+        (cd_numerators, (_ARG,), "n"),
+        (cd_set, (_ARG,), "n"),
+        (family, (_ARG,), "n"),
+        (trace_family_index, (_ARG, 1), "n"),
+        (trace_family_index, (5, _ARG), "j"),
+        (synthesize, (_ARG, 4), "p"),
+        (synthesize, (1, _ARG), "q"),
+    ],
+)
+def test_integer_arguments_must_be_ints(function, args, name, value):
+    # as in the enumeration and CayleyTable: a bool, float, str or Fraction
+    # is named, not used as the number it stands for
+    args = [value if arg is _ARG else arg for arg in args]
+    message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)

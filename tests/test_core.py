@@ -140,30 +140,6 @@ def _one_cell_changes(rows):
                     yield tuple(tuple(row) for row in grid)
 
 
-def _union_rows(a, b):
-    # a | b: x*y = x across the two parts, which share only 0
-    na, nb = len(a), len(b)
-
-    def cell(x, y):
-        if x == 0 or y == 0:
-            return x
-        if x < na and y < na:
-            return a[x][y]
-        if x >= na and y >= na:
-            v = b[x - na + 1][y - na + 1]
-            return 0 if v == 0 else v + na - 1
-        return x
-
-    n = na + nb - 1
-    return tuple(tuple(cell(x, y) for y in range(n)) for x in range(n))
-
-
-def _extend_rows(a):
-    # a + T: x*T = 0 and T*x = T for the new top T
-    n = len(a)
-    return tuple(row + (0,) for row in a) + ((n,) * n + (0,),)
-
-
 def _corrupted(rng, rows, kind):
     # one changed cell aimed at ``kind``; "late" changes a cell off row 0,
     # column 0 and the diagonal, which only BCK2 or BCK1 can catch
@@ -215,9 +191,9 @@ def test_checker_agrees_with_the_oracle_on_corrupted_constructions():
         rows = rng.choice(parts)
         while len(rows) < n:
             if rng.random() < 0.25:
-                rows = _extend_rows(rows)
+                rows = oracle.extend_top(rows)
             else:
-                rows = _union_rows(rows, rng.choice(parts))
+                rows = oracle.union(rows, rng.choice(parts))
         _assert_checker_agrees(rows)
         assert oracle.first_violation(rows) is None
         for kind in kinds:
@@ -294,7 +270,7 @@ def test_bck1_witness_past_the_byte_boundary(n):
     bad = ((0, 0, 0, 0), (1, 0, 1, 0), (2, 2, 0, 0), (3, 3, 2, 0))
     parts = [rows for k in (2, 3) for rows in
              oracle.group_into_classes(oracle.all_valid_tables(k))]
-    rows = _union_rows(_grown_rows(random.Random(n), parts, n - 3), bad)
+    rows = oracle.union(_grown_rows(random.Random(n), parts, n - 3), bad)
     sigma = list(range(n))
     sigma[1], sigma[n - 3] = n - 3, 1
     sigma[n - 2], sigma[n - 1] = n - 1, n - 2
@@ -516,7 +492,7 @@ def test_pair_count_top_and_positive_implicativity_match_brute_force_scans():
         tail = (0, *rng.sample(range(1, n), n - 1))
         for rows in (
             _grown_rows(rng, parts, n),
-            _extend_rows(_grown_rows(rng, parts, n - 1)),
+            oracle.extend_top(_grown_rows(rng, parts, n - 1)),
             m_chain(n).table.rows,
             b_star(n).table.rows,
         ):
