@@ -32,13 +32,20 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class _TooLarge(ValueError):
+    """Decimal text that ``int()`` refuses for its length."""
+
+
 def parse_decimal(text: str) -> int:
     """The value of ASCII ``[0-9]+`` text; unlike ``int()``, refuses signs,
     underscores, blanks and non-ASCII digits with ValueError.  Leading zeros
-    are ignored; past 4,300 significant digits ``int()`` raises ValueError."""
+    are ignored; past 4,300 significant digits it raises ``_TooLarge``."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal integer: {_excerpt(text)}")
-    return int(text.lstrip("0") or "0")
+    try:
+        return int(text.lstrip("0") or "0")
+    except ValueError as exc:  # int()'s digit limit
+        raise _TooLarge(*exc.args) from None
 
 
 def parse_bck(text: str) -> CayleyTable:
@@ -55,10 +62,10 @@ def parse_bck(text: str) -> CayleyTable:
     order = lines[1]
     try:
         n = parse_decimal(order)
-    except ValueError:  # decimal text is refused only past int()'s digit limit
-        large = order.isascii() and order.isdigit()
-        reason = "too large:" if large else "is not a decimal integer:"
-        raise ParseError(2, f"order {reason} {_excerpt(order)}") from None
+    except _TooLarge:
+        raise ParseError(2, f"order too large: {_excerpt(order)}") from None
+    except ValueError:
+        raise ParseError(2, f"order is not a decimal integer: {_excerpt(order)}") from None
     if n < 1:
         raise ParseError(2, f"order must be positive, got {n}")
     size = n if n < 10**_EXCERPT else _excerpt(str(n))  # as messages repeat it

@@ -5,18 +5,20 @@ failures, out-of-range arguments), 2 on usage errors, and 1 with no
 message when the reader of stdout closes it early, as ``| head`` does.
 Results go to stdout, error messages to stderr.  The only environment
 variable read is BCK_ENUM_BUDGET, which overrides the enumeration budget.
+The parser is built once per process, on main's first call, never at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import classify
-from .bckfile import emit_bck, emit_hasse_dot, parse_bck, parse_decimal
+from .bckfile import _TooLarge, emit_bck, emit_hasse_dot, parse_bck, parse_decimal
 from .construct import (
     _cd_range,
     b_star,
@@ -121,12 +123,17 @@ def cmd_synth(args) -> int:
     parts = args.fraction.split("/")
     if len(parts) != 2:
         raise ValueError(f"expected P/Q, got {_excerpt(args.fraction)}")
-    try:
-        p, q = parse_decimal(parts[0]), parse_decimal(parts[1])
-    except ValueError:  # int() refuses more than 4,300 digits: too large
-        large = all(part.isascii() and part.isdigit() for part in parts)
-        reason = "P/Q too large:" if large else "expected integers in P/Q, got"
-        raise ValueError(f"{reason} {_excerpt(args.fraction)}") from None
+    values = []  # a malformed part is named before a part past the digit limit
+    for part in parts:
+        try:
+            values.append(parse_decimal(part))
+        except _TooLarge:
+            values.append(None)
+        except ValueError:
+            raise ValueError(f"expected integers in P/Q, got {_excerpt(args.fraction)}") from None
+    if None in values:
+        raise ValueError(f"P/Q too large: {_excerpt(args.fraction)}")
+    p, q = values
     result = synthesize(p, q)
     if result.escalated:
         print(
@@ -234,6 +241,7 @@ def cmd_hasse(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bck",
@@ -317,6 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the parser is built on the first call, then reused."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -351,8 +351,9 @@ class BckAlgebra:
 
     def top(self) -> int | None:
         """The greatest element, i.e. t with x*t = 0 for all x, if it exists."""
+        n = self.order
         cols = enumerate(zip(*self.table.rows))
-        return next((y for y, col in cols if col.count(0) == self.order), None)
+        return next((y for y, col in cols if col.count(0) == n), None)
 
     def is_bounded(self) -> bool:
         return self.top() is not None

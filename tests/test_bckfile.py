@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bck import classify, core
-from bck.bckfile import ParseError, emit_bck, emit_hasse_dot, parse_bck
+from bck.bckfile import (
+    ParseError,
+    _TooLarge,
+    emit_bck,
+    emit_hasse_dot,
+    parse_bck,
+    parse_decimal,
+)
 from bck.construct import b_star, family, m_chain
 from bck.core import PI, CayleyTable, validate
 
@@ -173,6 +180,16 @@ def test_orders_int_refuses_are_too_large():
     assert str(info.value) == (
         "line 2: order too large: '99999999999999999999'... (5000 characters)"
     )
+
+
+def test_parse_decimal_tells_too_large_from_malformed_by_type():
+    with pytest.raises(_TooLarge):
+        parse_decimal("9" * 5000)
+    for text in ("9" * 4999 + "x", "+5", ""):
+        with pytest.raises(ValueError) as info:
+            parse_decimal(text)
+        assert type(info.value) is ValueError
+    assert parse_decimal("0" * 5000 + "7") == 7
 
 
 def test_row_messages_name_a_long_order_by_a_prefix():

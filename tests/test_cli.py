@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import bck
-from bck import core
+from bck import cli, core
 from bck.bckfile import emit_bck, parse_bck
 from bck.cli import main
 from bck.construct import b_star, family, m_chain, synthesize, union
@@ -27,6 +27,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env():
+    """The environment with this suite's ``bck`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(bck.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_verify_valid_file(tmp_path, capsys):
@@ -62,6 +69,56 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_the_parser_is_built_on_the_first_call_only():
+    # in a new interpreter, counting the parsers made with prog="bck"
+    code = """
+import argparse, contextlib, io
+progs = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    progs.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import bck.cli
+print(len(progs))
+with contextlib.redirect_stdout(io.StringIO()):
+    bck.cli.main(["cdset", "3"])
+    bck.cli.main(["cdset", "4"])
+print(progs.count("bck"))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "0\n1\n"
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    # a usage error, then a flag that sets exprs, then the command that
+    # defaults it: nothing of one call may leak into the next
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def results():
+        out = []
+        for argv in (["synth"], ["family", "7", "--exprs"], ["cdset", "6"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    reused = results()
+    build = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
+    monkeypatch.setattr(cli, "_build_parser", build)  # a new parser for each call
+    assert reused == results()
+    (usage, _, err), (listed, exprs, _), (cdset, degrees, _) = reused
+    assert (usage, listed, cdset) == (2, 0, 0)
+    assert err.endswith("error: the following arguments are required: P/Q\n")
+    assert all("+" in line for line in exprs.splitlines())
+    assert degrees.startswith("16/36 = 4/9\n") and "+" not in degrees
 
 
 @pytest.mark.parametrize(
@@ -269,13 +326,11 @@ def test_family_streams_its_lines(monkeypatch, exprs):
 
 def test_a_closed_pipe_stops_the_listing_without_a_message():
     # the reader takes one line and closes the pipe, as ``| head -1`` does
-    src = os.path.dirname(os.path.dirname(bck.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "bck.cli", "cdset", "3000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_src_env(),
     )
     assert proc.stdout.readline() == b"8998/9000000 = 4499/4500000\n"
     proc.stdout.close()
@@ -422,6 +477,15 @@ def test_synth_names_long_fractions_by_a_prefix(capsys):
         "error: expected integers in P/Q, got 'xxxxxxxxxxxxxxxxxxxx'... "
         "(5002 characters)\n"
     )
+    # a malformed part is named before a part past the digit limit
+    code, _, err = run(capsys, "synth", "1" * 5000 + "/x")
+    assert code == 1
+    assert err == (
+        "error: expected integers in P/Q, got '11111111111111111111'... "
+        "(5002 characters)\n"
+    )
+    code, _, err = run(capsys, "synth", "1" * 5000 + "/" + "2" * 5000)
+    assert err == "error: P/Q too large: '11111111111111111111'... (10001 characters)\n"
     # leading zeros do not count against the digit limit
     code, out, _ = run(capsys, "synth", "0" * 5000 + "1/2")
     assert code == 0 and "order: 8" in out.splitlines()

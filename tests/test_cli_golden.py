@@ -1,8 +1,10 @@
 """Byte-exact replay of a fixed transcript of every CLI subcommand.
 
 ``data/cli_golden.txt`` holds the exit code, stdout and stderr of each
-invocation in ``INVOCATIONS``.  Refactors must leave it unchanged; to
-re-record after a deliberate output change, run
+invocation in ``INVOCATIONS``, argparse's own help and usage errors
+included: their ``SystemExit`` code is recorded as the exit code, and
+``COLUMNS=80`` fixes where argparse wraps.  Refactors must leave it
+unchanged; to re-record after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
 """
@@ -80,6 +82,10 @@ INVOCATIONS = [
     ["iso", "pi.bck", "tc.bck"],
     ["subalg", "pi.bck"],
     ["hasse", "m4.bck"],
+    ["--help"],
+    ["synth", "--help"],
+    ["no-such-command"],
+    ["census", "x"],
 ]
 
 
@@ -89,13 +95,18 @@ def transcript(directory: Path) -> str:
         (directory / name).write_text(text)
     saved_cwd = os.getcwd()
     saved_budget = os.environ.pop("BCK_ENUM_BUDGET", None)
+    saved_columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
     chunks = []
     try:
         os.chdir(directory)
         for argv in INVOCATIONS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(list(argv))
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse's --help and usage errors
+                    code = exc.code
             chunks.append(
                 f"$ bck {' '.join(argv)}\n[exit {code}]\n"
                 f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
@@ -104,6 +115,10 @@ def transcript(directory: Path) -> str:
         os.chdir(saved_cwd)
         if saved_budget is not None:
             os.environ["BCK_ENUM_BUDGET"] = saved_budget
+        if saved_columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved_columns
     return "".join(chunks)
 
 
