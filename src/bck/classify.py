@@ -6,10 +6,11 @@ table over all such relabelings, so two algebras are isomorphic exactly
 when their canonical forms coincide.  The minimum is found over a table of
 the (n-1)! relabelings, which is affordable at enumeration scale: only
 those that relabel a row with the most zeros as 1 can win on a BCK table,
-so only they are tried.  Each candidate costs a few C calls, a
-``bytes.translate`` of the values, a precomputed ``operator.itemgetter``
-over the cells and ``bytes``, not n*n Python steps; on a BCK table most
-are dropped after a gather of rows 1 and 2 alone.
+so only they are tried.  With the table as the 256 bytes of
+``core._products``, a candidate is two ``bytes.translate`` calls, not n*n
+Python steps: precomputed codes in relabeled order to their products, and
+the products to their new labels; on a BCK table most are dropped after
+rows 1 and 2 alone.
 
 Enumeration builds the catalog level by level: each class of order n is
 a one-element extension of a canonical representative of order n-1, its
@@ -35,7 +36,8 @@ from itertools import chain, permutations
 from operator import itemgetter
 
 from .construct import m_chain
-from .core import BckAlgebra, CayleyTable, _bck1_row, _check_int, _excerpt, validate
+from .core import BckAlgebra, CayleyTable, _bck1_codes, _bck1_holds, _bck1_row, _check_int
+from .core import _products, _shown, validate
 
 DEFAULT_ENUM_BUDGET = 7
 _CANONICAL_ORDER_LIMIT = 10
@@ -48,7 +50,7 @@ def _check_labels(labels: tuple[int, ...], n: int) -> None:
     """Refuse a label that ``CayleyTable`` would refuse as an entry."""
     for v in labels:
         if type(v) is not int or not 0 <= v < n:
-            raise ValueError(f"label {v!r} is not an element of 0..{n - 1}")
+            raise ValueError(f"label {_shown(v)} is not an element of 0..{n - 1}")
 
 
 def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
@@ -64,18 +66,18 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     return CayleyTable([[perm[old[x][y]] for y in inverse] for x in inverse])
 
 
-def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], ...]:
-    """(prefix gather, gather, value table) triples, one per sigma with
+def _build_perms(n: int, a: int) -> tuple[tuple[bytes, bytes, bytes], ...]:
+    """(prefix codes, codes, value table) triples, one per sigma with
     sigma(0) = 0 and sigma(a) = 1.
 
     The relabeled table holds sigma(t[x][y]) at cell (sigma(x), sigma(y)),
     so its cell (i, j) reads cell (inv[i], inv[j]) of the original: the
-    gather picks those n*n positions in row-major order, the prefix gather
-    those of rows 1 and 2, and the value table maps each byte v < n to
-    sigma(v) for ``bytes.translate``.  They grow factorially (5.8 MiB over
-    every a at order 8, 52 MiB at order 9), so they live only as long as
-    the caller that canonicalises one order: a level build, or one
-    ``canonical_form`` call.
+    codes are n*inv[i] + inv[j] (see ``core._products``) in row-major
+    order, the prefix codes those of rows 1 and 2, and the value table
+    maps each byte v < n to sigma(v) for ``bytes.translate``.  They grow
+    factorially (2.4 MiB over every a at order 8, 20 MiB at order 9), so
+    they live only as long as the caller that canonicalises one order: a
+    level build, or one ``canonical_form`` call.
     """
     perms = []
     for tail in permutations(x for x in range(1, n) if x != a):
@@ -83,18 +85,26 @@ def _build_perms(n: int, a: int) -> tuple[tuple[itemgetter, itemgetter, bytes], 
         sigma = [0] * n
         for i, x in enumerate(inverse):
             sigma[x] = i
-        cells = [x * n + y for x in inverse for y in inverse]
+        codes = bytes(x * n + y for x in inverse for y in inverse)
         values = bytes(sigma) + bytes(range(n, 256))
-        perms.append((itemgetter(*cells[n : 3 * n]), itemgetter(*cells), values))
+        perms.append((codes[n : 3 * n], codes, values))
     return tuple(perms)
+
+
+def _rows_with_most_zeros(table: bytes, n: int) -> list[int]:
+    """The rows a with the most zeros of a flat table: the relabelings tried
+    by ``_canonical_flat`` are those with sigma(a) = 1."""
+    zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
+    most = max(zeros, default=0)
+    return [x for x, z in enumerate(zeros, 1) if z == most]
 
 
 def _canonical_flat(flat: Flat, n: int, perms=_build_perms) -> Flat:
     """Lexicographic minimum of a flat BCK table over 0-fixing relabelings.
 
-    Each candidate is built by a few C calls on the table as bytes: a
-    translate of its values through sigma, a gather of its cells into
-    relabeled order, and ``bytes`` over the gathered ints.  Bytes compare
+    Each candidate is two C calls on the table as ``core._products``: a
+    translate of sigma's codes into the products they name, in relabeled
+    order, and a translate of those values through sigma.  Bytes compare
     as the tuples of their values do.
 
     Only the relabelings that send a row with the most zeros to row 1 are
@@ -105,28 +115,46 @@ def _canonical_flat(flat: Flat, n: int, perms=_build_perms) -> Flat:
     1 and those y to 2, 3, ... puts a zero where every candidate of a has
     its first nonzero cell after position 1, so it is strictly smaller.
 
-    Each candidate is first gathered on rows 1 and 2 only.  With row 0
+    Each candidate is first built on rows 1 and 2 only.  With row 0
     shared, a candidate whose two rows exceed the best one's is larger
-    whatever its other rows hold, so only the others are gathered in full;
+    whatever its other rows hold, so only the others are built in full;
     a tie on the two rows still compares the whole table.
 
     ``perms(n, a)`` gives ``_build_perms``' triples; a caller that
     canonicalises many tables of one order passes it cached.
     """
-    table = best = bytes(flat)
-    head = table[n : 3 * n]
-    zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
-    most = max(zeros, default=0)
-    for a in [x for x, z in enumerate(zeros, 1) if z == most]:
-        for prefix, gather, values in perms(n, a):
-            moved = table.translate(values)
-            if bytes(prefix(moved)) > head:
+    product = _products(flat)
+    best = product[: n * n]
+    head = best[n : 3 * n]
+    for a in _rows_with_most_zeros(best, n):
+        for prefix, codes, values in perms(n, a):
+            if prefix.translate(product).translate(values) > head:
                 continue
-            cand = bytes(gather(moved))
+            cand = codes.translate(product).translate(values)
             if cand < best:
                 best = cand
                 head = cand[n : 3 * n]
     return tuple(best)
+
+
+def _automorphism_count(flat: Flat, n: int, perms=_build_perms) -> int:
+    """|Aut A| for a canonical flat: the relabelings that ``_canonical_flat``
+    tries and that reproduce it.  Those that reproduce it are Aut A, and
+    each sends a row with the most zeros to row 1, as the canonical row 1
+    has the most, so none is missed."""
+    if n == 1:
+        return 1  # the identity, which fixes 0, is the only relabeling
+    product = _products(flat)
+    table = product[: n * n]
+    head = table[n : 3 * n]
+    count = 0
+    for a in _rows_with_most_zeros(table, n):
+        for prefix, codes, values in perms(n, a):
+            count += (
+                prefix.translate(product).translate(values) == head
+                and codes.translate(product).translate(values) == table
+            )
+    return count
 
 
 def canonical_form(algebra: BckAlgebra) -> CayleyTable:
@@ -310,9 +338,16 @@ def _flat_valid(t: list[list[int]]) -> bool:
       checks it when cell (e, y) is set; (x, 0, e) is BCK2 at (x, e).
 
     Only pass or fail is needed (a level is a sorted set), so no least
-    witness is sought; ``core._bck1_row`` reads the row of e in C.
+    witness is sought.  The instances with 0 < y < e are read together as
+    strings of products (``core._bck1_holds``) when n*n <= 256, so that a
+    product's code fits one byte, and row by row in C by ``core._bck1_row``
+    above that.
     """
-    return _bck1_row(t, list(zip(*t)), len(t) - 1, range(1, len(t) - 1)) is None
+    n = len(t)
+    if n * n <= 256:
+        codes = _bck1_codes(n, range(n - 1, n), range(1, n - 1))
+        return _bck1_holds(_products(chain.from_iterable(t)), n, *codes)
+    return _bck1_row(t, list(zip(*t)), n - 1, range(1, n - 1)) is None
 
 
 def _extensions(base: Rows) -> list[Flat]:
@@ -453,10 +488,10 @@ def enumerate_algebras(
         _check_int("budget", budget)
     _check_int("jobs", jobs)
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise ValueError(f"jobs must be at least 1, got {_shown(jobs)}")
     limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    order = _excerpt(str(n), str)
     if n > limit:
+        order = _shown(n)
         raise ValueError(
             f"order {order} exceeds the enumeration budget {limit}; pass budget={order} "
             f"(or set BCK_ENUM_BUDGET={order} for the bck command) to allow it"
@@ -492,7 +527,7 @@ def verify_unique_minimum(n: int, budget: int | None = None) -> UniqueMinimumRep
     """
     _check_int("n", n)
     if n < 2:
-        raise ValueError(f"verify_unique_minimum requires order >= 2, got {n}")
+        raise ValueError(f"verify_unique_minimum requires order >= 2, got {_shown(n)}")
     degree = Fraction(3 * n - 2, n * n)
     hits = [
         a

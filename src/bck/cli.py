@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,7 @@ from .construct import (
     trace_family_index,
     union,
 )
-from .core import BckAlgebra, _excerpt, find_violation, validate
+from .core import BckAlgebra, _excerpt, _shown, find_violation, validate
 
 
 def _read_table(path: str):
@@ -108,7 +109,7 @@ def cmd_cdset(args) -> int:
         str(args.n * args.n)  # every line prints n*n
     except ValueError:  # past Python's digit limit for printing an int
         raise ValueError(
-            f"order {_excerpt(str(args.n), str)} too large: n*n has "
+            f"order {_shown(args.n)} too large: n*n has "
             f"more than {sys.get_int_max_str_digits()} digits"
         ) from None
     for j, k in enumerate(numerators, start=1):
@@ -293,6 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cdset, exprs=False)
 
     p = sub.add_parser("synth", help="build an algebra with commuting degree exactly P/Q")
+    # argparse takes an argument for a negative number, and not for an
+    # option, by this pattern; widened, it lets a P/Q such as -3/12 reach
+    # cmd_synth, which names it
+    p._negative_number_matcher = re.compile(r"-\d")
     p.add_argument("fraction", metavar="P/Q")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_synth)

@@ -34,6 +34,7 @@ from .core import (
     CayleyTable,
     CommutingReport,
     _check_int,
+    _shown,
     standard_algebras,
     validate,
 )
@@ -345,7 +346,7 @@ def trace_family_index(n: int, j: int) -> ConstructionExpr:
         raise ValueError("family levels start at order 3")
     size = triangular(n - 2)
     if not 1 <= j <= size:
-        raise ValueError(f"index {j} out of range for order {n}")
+        raise ValueError(f"index {_shown(j)} out of range for order {_shown(n)}")
     c = size - j + 1
     ops: list[str] = []
     for m in range(n - 1, 3, -1):

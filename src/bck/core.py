@@ -25,7 +25,7 @@ pure function of its inputs, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import eq, getitem, itemgetter
@@ -46,11 +46,26 @@ def _excerpt(text: str, show=repr) -> str:
     return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
+def _shown(value: object) -> str:
+    """A value as a message repeats it: its repr, cut by :func:`_excerpt`.
+    An int past Python's digit limit for printing, whose repr raises
+    ``ValueError``, is shown by its size in bits instead, and any other
+    value whose repr raises it, such as a Fraction of such ints, by its
+    type, so that the message is made and not replaced by that error."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} whose repr fails>"
+    return _excerpt(text, str)
+
+
 def _check_int(name: str, value: object) -> None:
     """Refuse an argument that is not an int by ``CayleyTable``'s rule, so
     that ``True``, ``5.0`` or ``'2'`` is named rather than used."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {_excerpt(repr(value), str)}")
+        raise ValueError(f"{name} must be an int, got {_shown(value)}")
 
 
 class FormatError(ValueError):
@@ -92,10 +107,10 @@ class CayleyTable:
                 raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
             for y, v in enumerate(row):
                 if type(v) is not int:
-                    raise FormatError(f"entry {v!r} at ({x},{y}) is not an int")
+                    raise FormatError(f"entry {_shown(v)} at ({x},{y}) is not an int")
                 if not 0 <= v < n:
                     raise FormatError(
-                        f"entry {v} at ({x},{y}) out of range 0..{n - 1}"
+                        f"entry {_shown(v)} at ({x},{y}) out of range 0..{n - 1}"
                     )
         object.__setattr__(self, "rows", rows)
 
@@ -126,6 +141,9 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     """The axiom check of :func:`find_violation` on raw rows (any n-by-n
     sequence of sequences), returning ``(axiom, witness)`` or None.
 
+    When n*n <= 256 a table is first checked by :func:`_holds`, which
+    accepts a valid table at once; a table it refuses, and every larger
+    one, is scanned for the first failing axiom and its least witness.
     BCK1 is read as (x*y)*(x*z) <= z*y.  Instances with u = x*y = 0 hold,
     since 0*w = 0 by BCK4, which is checked first.  BCK1 is checked one of
     two ways, with the same answer: :func:`_bck1_by_columns` when n <= 8 or
@@ -133,6 +151,8 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     :func:`_bck1_by_lanes` otherwise.
     """
     n = len(t)
+    if n * n <= 256 and _holds(t):
+        return None
     for x in range(n):
         if t[x][x] != 0:
             return "BCK3", (x,)
@@ -158,6 +178,64 @@ def _first_violation(t) -> tuple[str, tuple[int, ...]] | None:
     if n <= 8 or sum(map(len, map(set, t))) > 4 * n:
         return _bck1_by_columns(t)
     return _bck1_by_lanes(t)
+
+
+def _products(cells) -> bytes:
+    """The cells of an n-by-n table in row-major order, n*n <= 256, as the
+    256-byte table of ``bytes.translate``: x*y sits at n*x + y, so a
+    string of such codes translates to the string of their products."""
+    return bytes(cells).ljust(256, b"\0")
+
+
+@cache
+def _bck1_codes(n: int, xs: range, ys: range) -> tuple[bytes, bytes, bytes]:
+    """The codes of x*y, x*z and z*y over the triples (x, y, z) of
+    ``xs`` x ``ys`` x 0..n-1, in lexicographic order.  Two callers ask
+    for them, each with one (xs, ys) per order up to 16."""
+    triples = [(x, y, z) for x in xs for y in ys for z in range(n)]
+    return (
+        bytes(n * x + y for x, y, z in triples),
+        bytes(n * x + z for x, y, z in triples),
+        bytes(n * z + y for x, y, z in triples),
+    )
+
+
+def _bck1_holds(product: bytes, n: int, xy: bytes, xz: bytes, zy: bytes) -> bool:
+    """Whether ((x*y)*(x*z))*(z*y) = 0 at every triple of the codes
+    ``xy``, ``xz`` and ``zy`` (see :func:`_bck1_codes`).  Products are
+    below n, so each byte of n*u + v, as ints over strings of products, is
+    at most n*n - 1: it adds byte by byte without a carry, and each byte
+    is the code of its u*v."""
+    size = len(xy)
+    a = _from(xy.translate(product), "little") * n + _from(xz.translate(product), "little")
+    a = _from(a.to_bytes(size, "little").translate(product), "little") * n
+    a += _from(zy.translate(product), "little")
+    return a.to_bytes(size, "little").translate(product) == bytes(size)
+
+
+@cache
+def _transposed(n: int) -> bytes:
+    """The codes of y*x over the cells (x, y) in row-major order."""
+    return bytes(n * y + x for x in range(n) for y in range(n))
+
+
+def _holds(t) -> bool:
+    """Whether every axiom holds on an n-by-n table with n*n <= 256, each
+    checked on whole strings of products at once (see :func:`_products`):
+    BCK3, BCK4 and x*0 = x on slices of the table, BCK5 on the union of
+    the nonzero cells of the table and of its transpose, and BCK1 by
+    :func:`_bck1_holds`.  BCK2 at (x, z) is BCK1 at (x, 0, z) once x*0 = x
+    holds.  It finds no witness: a table it refuses goes on to the scans."""
+    n = len(t)
+    product = _products(chain.from_iterable(t))
+    table = product[: n * n]
+    if table[:: n + 1] != bytes(n) or table[:n] != bytes(n) or table[::n] != bytes(range(n)):
+        return False  # BCK3, BCK4 or x*0 = x
+    nonzero = _from(table.translate(_NONZERO), "little")
+    nonzero |= _from(_transposed(n).translate(product).translate(_NONZERO), "little")
+    if nonzero.bit_count() != n * n - n:
+        return False  # BCK5: x*y = y*x = 0 for some x != y
+    return _bck1_holds(product, n, *_bck1_codes(n, range(n), range(n)))
 
 
 def _bck1_row(t, cols, x, ys) -> int | None:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from bck import classify, core
 from bck.classify import (
+    _automorphism_count,
     canonical_form,
     degree_census,
     enumerate_algebras,
@@ -507,26 +508,6 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
             if tuple(row[:m] for row in t[:m]) == rows
             and m in _smallest_maximal(t)
         }
-
-
-def _automorphism_count(flat, n, perms):
-    """|Aut A| for a canonical flat: the relabelings that ``_canonical_flat``
-    tries (sigma(a) = 1 for a row a with the most zeros) and that reproduce
-    it.  Those that reproduce it are Aut A, and each sends a row with the
-    most zeros to row 1, as the canonical row 1 has the most, so none is
-    missed."""
-    if n == 1:
-        return 1  # the identity, which fixes 0, is the only relabeling
-    table = bytes(flat)
-    head = table[n : 3 * n]
-    zeros = [table.count(0, x * n, x * n + n) for x in range(1, n)]
-    most = max(zeros)
-    count = 0
-    for a in [x for x, z in enumerate(zeros, 1) if z == most]:
-        for prefix, gather, values in perms(n, a):
-            moved = table.translate(values)
-            count += bytes(prefix(moved)) == head and bytes(gather(moved)) == table
-    return count
 
 
 def _mass(n, perms):

@@ -73,6 +73,8 @@ INVOCATIONS = [
     ["synth", "1/12"],
     ["synth", "39/40"],
     ["synth", "3/2"],
+    ["synth", "-3/12"],
+    ["synth", "--", "-3/12"],
     ["enum", "4"],
     ["enum", "5", "--noncommutative"],
     ["census", "5"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bck import classify, core
-from bck.construct import b_star, extend_top, family, m_chain, union
+from bck.construct import b_star, extend_top, family, m_chain, trace_family_index, union
 from bck.core import (
     PI,
     TC,
@@ -46,6 +46,45 @@ def test_rejects_out_of_range_entry():
 def test_rejects_entries_that_are_not_ints(value):
     with pytest.raises(FormatError, match=r"\(1,0\)"):
         CayleyTable(((0, 0), (value, 0)))
+
+
+HUGE = 10**5000  # past the 4,300 digits that int-to-str converts
+HUGE_SHOWN = "<int of 16610 bits>"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: CayleyTable([[HUGE]]), FormatError,
+         f"entry {HUGE_SHOWN} at (0,0) out of range 0..0"),
+        (lambda: CayleyTable([["x" * 10**6]]), FormatError,
+         "entry 'xxxxxxxxxxxxxxxxxxx... (1000002 characters) at (0,0) is not an int"),
+        (lambda: classify.relabel(TWO.table, (0, HUGE)), ValueError,
+         f"label {HUGE_SHOWN} is not an element of 0..1"),
+        (lambda: classify.subalgebra(TWO, (0, HUGE)), ValueError,
+         f"label {HUGE_SHOWN} is not an element of 0..1"),
+        (lambda: classify.enumerate_algebras(HUGE), ValueError,
+         f"order {HUGE_SHOWN} exceeds the enumeration budget 7; pass budget={HUGE_SHOWN} "
+         f"(or set BCK_ENUM_BUDGET={HUGE_SHOWN} for the bck command) to allow it"),
+        (lambda: classify.enumerate_algebras(1, jobs=-HUGE), ValueError,
+         f"jobs must be at least 1, got {HUGE_SHOWN}"),
+        (lambda: classify.verify_unique_minimum(-HUGE), ValueError,
+         f"verify_unique_minimum requires order >= 2, got {HUGE_SHOWN}"),
+        (lambda: trace_family_index(5, HUGE), ValueError,
+         f"index {HUGE_SHOWN} out of range for order 5"),
+        (lambda: core._check_int("n", Fraction(HUGE, 3)), ValueError,
+         "n must be an int, got <Fraction whose repr fails>"),
+    ],
+    ids=["entry", "non-int-entry", "relabel", "subalgebra", "budget", "jobs",
+         "unique-minimum", "family-index", "check-int"],
+)
+def test_messages_show_values_that_have_no_repr(call, error, message):
+    # each value is shown through ``core._shown``: the message is made, not
+    # replaced by int-to-str's "Exceeds the limit" error, and it is not a
+    # million characters long
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_rejects_empty_table():
@@ -121,6 +160,8 @@ def _assert_checker_agrees(rows):
     assert (None if found is None else (found.axiom, found.witness)) == want, rows
     assert core._first_violation(rows) == want, rows
     assert core._first_violation([list(row) for row in rows]) == want, rows
+    if len(rows) <= 16:  # a code n*x + y fits one byte
+        assert core._holds(rows) == (want is None), rows
     # both BCK1 paths, whichever the kernel rule would pick, once the
     # axioms checked before BCK1 hold
     if want is None or want[0] == "BCK1":
@@ -262,6 +303,95 @@ def test_checker_agrees_with_the_oracle_across_the_byte_boundary():
     assert fired == {"BCK2", "BCK1"}
 
 
+def _valid_rows(rng, parts, n):
+    # a valid table of order n with random labels other than 0
+    if n <= 3:
+        rows = rng.choice(oracle.all_valid_tables(n))
+    else:
+        rows = _grown_rows(rng, parts, n)
+    return oracle.relabeled(rows, (0, *rng.sample(range(1, n), n - 1)))
+
+
+def _random_rows(rng, n, shaped):
+    # random entries; when shaped, with BCK3, BCK4 and x*0 = x holding, so
+    # that the later axioms decide
+    grid = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    if shaped:
+        for x in range(n):
+            grid[0][x] = grid[x][x] = 0
+            grid[x][0] = x
+    return tuple(tuple(row) for row in grid)
+
+
+def test_byte_check_agrees_with_the_oracle_up_to_and_past_its_bound():
+    # orders 1-16 are checked on strings of products first, as a code
+    # n*x + y fits one byte; order 17 takes the scans alone
+    rng = random.Random(28)
+    parts = [rows for n in (2, 3) for rows in
+             oracle.group_into_classes(oracle.all_valid_tables(n))]
+    fired = {}
+    for n in range(1, 18):
+        tables = []
+        for _ in range(3):
+            rows = _valid_rows(rng, parts, n)
+            assert oracle.axioms_hold(rows)
+            tables.append(rows)
+            # one changed cell each: in row 0, on the diagonal, in column 0,
+            # and elsewhere, there to 0 (for BCK5) or to any other value
+            k = rng.randrange(1, n) if n > 1 else 0
+            cells = [(0, k), (k, k), (k, 0)] if n > 1 else []
+            cells += [(rng.randrange(1, n), rng.randrange(1, n)) for _ in range(8 * (n > 2))]
+            for i, (x, y) in enumerate(cells):
+                grid = [list(row) for row in rows]
+                others = [v for v in range(n) if v != rows[x][y]]
+                grid[x][y] = 0 if i == 3 and rows[x][y] else rng.choice(others)
+                tables.append(tuple(tuple(row) for row in grid))
+            tables += [_random_rows(rng, n, shaped) for shaped in (False, True, True)]
+        for rows in tables:
+            _assert_checker_agrees(rows)
+            found = oracle.first_violation(rows)
+            assert oracle.axioms_hold(rows) == (found is None), rows
+            fired.setdefault(None if found is None else found[0], set()).add(n)
+    assert set(fired) == {None, "BCK3", "BCK4", "x*0=x", "BCK5", "BCK2", "BCK1"}
+    assert all({16, 17} <= orders for orders in fired.values()), fired
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_leaf_check_at_and_past_the_byte_bound(n):
+    # ``classify._flat_valid`` decides BCK1 at (e, y, z) for 0 < y < e and
+    # every z, e = n-1: on strings of products up to order 16, by the row
+    # scan of ``core._bck1_row`` past it.  It is compared with a naive scan
+    # of those instances on valid tables with changed cells: up to two in
+    # row e, or one cell z*y set to 0 where (e*y)*(e*z) != 0 and z != e*y,
+    # which fails the instance (e, y, z) and no other, as 0*v = 0
+    rng = random.Random(n)
+    parts = [rows for k in (2, 3, 4) for rows in
+             oracle.group_into_classes(oracle.forced_valid_tables(k))]
+    e = n - 1
+
+    def failing(t):
+        return {y for y in range(1, e) for z in range(n) if t[t[t[e][y]][t[e][z]]][t[z][y]]}
+
+    verdicts, alone = set(), set()
+    for _ in range(12):
+        rows = oracle.relabeled(_grown_rows(rng, parts, n), (0, *rng.sample(range(1, n), e)))
+        t = [list(row) for row in rows]
+        for _ in range(rng.randrange(3)):
+            t[e][rng.randrange(1, e)] = rng.randrange(n)
+        verdict = classify._flat_valid(t)
+        assert verdict == (not failing(t)), t
+        verdicts.add(verdict)
+        for y in range(1, e):
+            u = rows[e][y]
+            zs = [z for z in range(1, e) if z != y and rows[u][rows[e][z]] and z != u]
+            if zs:
+                t = [list(row) for row in rows]
+                t[rng.choice(zs)][y] = 0
+                assert failing(t) == {y} and not classify._flat_valid(t), t
+                alone.add(y)
+    assert verdicts == {True, False} and alone == set(range(1, e))
+
+
 @pytest.mark.parametrize("n", [256, 300])
 def test_bck1_witness_past_the_byte_boundary(n):
     # this part breaks only BCK1, first at (1, 2, 3), where 3*2 = 2 != 0; in
@@ -316,13 +446,15 @@ def test_checker_agrees_with_the_oracle_on_tables_with_many_values_per_row():
 
 
 def test_bck1_path_follows_the_order_and_distinct_row_values(monkeypatch):
-    # the column scans below order 9, where the lanes' set-up costs more
-    # than the scans, and on rows with more than four distinct values on
-    # average, as in chains, where the lanes translate about once per cell;
-    # the lanes otherwise, as in unions of small parts and their top
-    # extensions
+    # up to order 16, where a code n*x + y fits one byte, a valid table is
+    # accepted by the byte-parallel check and takes no scan.  A table it
+    # refuses, and every larger one, takes the column scans below order 9,
+    # where the lanes' set-up costs more than the scans, and on rows with
+    # more than four distinct values on average, as in chains, where the
+    # lanes translate about once per cell; the lanes otherwise, as in
+    # unions of small parts and their top extensions
     taken = []
-    for name in ("_bck1_by_columns", "_bck1_by_lanes"):
+    for name in ("_holds", "_bck1_by_columns", "_bck1_by_lanes"):
         check = getattr(core, name)
         monkeypatch.setattr(
             core, name, lambda t, check=check, name=name: taken.append(name) or check(t)
@@ -330,30 +462,41 @@ def test_bck1_path_follows_the_order_and_distinct_row_values(monkeypatch):
 
     def path(rows):
         del taken[:]
-        assert core._first_violation(rows) is None
-        (name,) = taken
-        return name
+        found = core._first_violation(rows)
+        assert found is None or found[0] == "BCK1", found
+        return tuple(taken)
 
     def distinct(rows):
         return sum(len(set(row)) for row in rows)
+
+    def broken(rows):
+        # BCK1 fails at (1, 2, 3) of this part, and at no other axiom
+        return oracle.union(rows, ((0, 0, 0, 0), (1, 0, 1, 0), (2, 2, 0, 0), (3, 3, 2, 0)))
 
     labelled = [
         [flat[x * 8 : x * 8 + 8] for x in range(8)]
         for flat in classify._extensions(m_chain(7).table.rows)
     ]
     assert labelled and all(distinct(rows) <= 4 * 8 for rows in labelled)
-    assert {path(rows) for rows in labelled} == {"_bck1_by_columns"}
-    assert distinct(_bounded_chain_rows(9)) > 4 * 9
-    assert path(_bounded_chain_rows(9)) == "_bck1_by_columns"
-    assert path(_bounded_chain_rows(60)) == "_bck1_by_columns"
+    assert {path(rows) for rows in labelled} == {("_holds",)}
+    assert path(broken(m_chain(5).table.rows)) == ("_holds", "_bck1_by_columns")
+    small = classify._level(6)[-1]
+    rows = broken(oracle.union(small.table.rows, small.table.rows))
+    assert len(rows) == 14 and distinct(rows) <= 4 * 14
+    assert path(rows) == ("_holds", "_bck1_by_lanes")
+    assert path(_bounded_chain_rows(16)) == ("_holds",)
+    assert distinct(_bounded_chain_rows(17)) > 4 * 17
+    assert path(_bounded_chain_rows(17)) == ("_bck1_by_columns",)
+    assert path(_bounded_chain_rows(60)) == ("_bck1_by_columns",)
     level = family(24)
     assert len(level) == 253
-    assert {path(entry.algebra.table.rows) for entry in level.entries} == {"_bck1_by_lanes"}
-    top = extend_top(union(classify._level(5)[-1], classify._level(6)[-1]))
-    assert path(top.table.rows) == "_bck1_by_lanes"
+    assert {path(entry.algebra.table.rows) for entry in level.entries} == {("_bck1_by_lanes",)}
+    top = extend_top(union(small, small, small))
+    assert top.order == 17
+    assert path(top.table.rows) == ("_bck1_by_lanes",)
     parts = [rows for n in (2, 3) for rows in
              oracle.group_into_classes(oracle.all_valid_tables(n))]
-    assert path(_grown_rows(random.Random(60), parts, 60)) == "_bck1_by_lanes"
+    assert path(_grown_rows(random.Random(60), parts, 60)) == ("_bck1_by_lanes",)
 
 
 def test_leq_from_the_fixed_tables():
