@@ -36,7 +36,7 @@ from itertools import chain, permutations
 from operator import itemgetter
 
 from .construct import m_chain
-from .core import BckAlgebra, CayleyTable, _bck1_codes, _bck1_holds, _bck1_row, _check_int
+from .core import BckAlgebra, CayleyTable, _bck1_codes, _bck1_holds, _check_int
 from .core import _products, _shown, validate
 
 DEFAULT_ENUM_BUDGET = 7
@@ -339,15 +339,15 @@ def _flat_valid(t: list[list[int]]) -> bool:
 
     Only pass or fail is needed (a level is a sorted set), so no least
     witness is sought.  The instances with 0 < y < e are read together as
-    strings of products (``core._bck1_holds``) when n*n <= 256, so that a
-    product's code fits one byte, and row by row in C by ``core._bck1_row``
-    above that.
+    strings of products (``core._bck1_holds``), which needs n*n <= 256 so
+    that a product's code fits one byte.  Every table that enumeration
+    completes meets it: level n extends the canonical classes of level
+    n-1, whose relabelings ``_build_perms`` encodes in the same bytes.
+    Past order 16 building the codes raises ``ValueError``.
     """
     n = len(t)
-    if n * n <= 256:
-        codes = _bck1_codes(n, range(n - 1, n), range(1, n - 1))
-        return _bck1_holds(_products(chain.from_iterable(t)), n, *codes)
-    return _bck1_row(t, list(zip(*t)), n - 1, range(1, n - 1)) is None
+    codes = _bck1_codes(n, range(n - 1, n), range(1, n - 1))
+    return _bck1_holds(_products(chain.from_iterable(t)), n, *codes)
 
 
 def _extensions(base: Rows) -> list[Flat]:

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line surface."""
 
+import argparse
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -463,6 +465,16 @@ def test_synth_rejects_malformed_fractions(capsys):
         assert code == 1 and err.startswith("error:")
     # a signed numeral is named as malformed, not read as 2/5
     assert "'+2/5'" in err
+
+
+def test_synth_takes_a_negative_fraction_as_its_argument(capsys):
+    # the synth parser widens argparse's private _negative_number_matcher;
+    # were it renamed, the assignment would do nothing and -3/12 would be
+    # read as an option again, so its presence is checked here
+    assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+    code, _, err = run(capsys, "synth", "-3/12")
+    assert code == 1 and err.startswith("error:") and "'-3/12'" in err
+    assert run(capsys, "synth", "--", "-3/12") == (code, "", err)
 
 
 def test_synth_names_long_fractions_by_a_prefix(capsys):

@@ -356,14 +356,14 @@ def test_byte_check_agrees_with_the_oracle_up_to_and_past_its_bound():
     assert all({16, 17} <= orders for orders in fired.values()), fired
 
 
-@pytest.mark.parametrize("n", [16, 17])
-def test_leaf_check_at_and_past_the_byte_bound(n):
+def test_leaf_check_at_the_byte_bound():
     # ``classify._flat_valid`` decides BCK1 at (e, y, z) for 0 < y < e and
-    # every z, e = n-1: on strings of products up to order 16, by the row
-    # scan of ``core._bck1_row`` past it.  It is compared with a naive scan
-    # of those instances on valid tables with changed cells: up to two in
+    # every z, e = n-1, on strings of products, whose codes fit one byte up
+    # to order 16.  At order 16 it is compared with a naive scan of those
+    # instances on valid tables with changed cells: up to two in
     # row e, or one cell z*y set to 0 where (e*y)*(e*z) != 0 and z != e*y,
     # which fails the instance (e, y, z) and no other, as 0*v = 0
+    n = 16
     rng = random.Random(n)
     parts = [rows for k in (2, 3, 4) for rows in
              oracle.group_into_classes(oracle.forced_valid_tables(k))]
