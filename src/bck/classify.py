@@ -21,7 +21,9 @@ taking only values v with v*x = 0 or v = e, but no column cell e (x*e = e
 would give e <= x); a column is dropped if a base element that stays
 maximal has a smaller down-set than e.  Axiom checks decide every instance
 through e cell by cell but the BCK1 row of e, checked on the completed
-table; classes are deduplicated via canonical forms.
+table; classes are deduplicated via canonical forms.  A completed table
+and its canonical form are flats: the row-major cells as ``bytes``, which
+compare as the tuples of their values do.
 Each class representative is validated once, when its level is built, and
 levels are cached, so census and uniqueness checks reuse the same run.
 """
@@ -42,7 +44,6 @@ from .core import _products, _shown, validate
 DEFAULT_ENUM_BUDGET = 7
 _CANONICAL_ORDER_LIMIT = 10
 
-Flat = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
 
 
@@ -58,7 +59,7 @@ def relabel(table: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     n = table.order
     _check_labels(perm, n)
     if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+        raise ValueError(f"not a permutation of 0..{n - 1}: {_shown(perm)}")
     if perm[0] != 0:
         raise ValueError("relabelings must fix element 0")
     old = table.rows
@@ -99,8 +100,11 @@ def _rows_with_most_zeros(table: bytes, n: int) -> list[int]:
     return [x for x, z in enumerate(zeros, 1) if z == most]
 
 
-def _canonical_flat(flat: Flat, n: int, perms=_build_perms) -> Flat:
-    """Lexicographic minimum of a flat BCK table over 0-fixing relabelings.
+def _canonical_flat(
+    flat: bytes | tuple[int, ...], n: int, perms=_build_perms
+) -> tuple[bytes, int]:
+    """Lexicographic minimum of a flat BCK table over 0-fixing relabelings,
+    and the number of tried relabelings that reach it.
 
     Each candidate is two C calls on the table as ``core._products``: a
     translate of sigma's codes into the products they name, in relabeled
@@ -120,41 +124,29 @@ def _canonical_flat(flat: Flat, n: int, perms=_build_perms) -> Flat:
     whatever its other rows hold, so only the others are built in full;
     a tie on the two rows still compares the whole table.
 
+    The relabelings that take A to its minimum C are one coset of Aut A,
+    and each sends a row with the most zeros to row 1, as C's row 1 has
+    the most, so all are tried: their number is |Aut A|, for any input.
+
     ``perms(n, a)`` gives ``_build_perms``' triples; a caller that
     canonicalises many tables of one order passes it cached.
     """
     product = _products(flat)
     best = product[: n * n]
     head = best[n : 3 * n]
+    ties = int(n == 1)  # the loop tries none at order 1, whose one relabeling is the identity
     for a in _rows_with_most_zeros(best, n):
         for prefix, codes, values in perms(n, a):
             if prefix.translate(product).translate(values) > head:
                 continue
             cand = codes.translate(product).translate(values)
-            if cand < best:
+            if cand == best:
+                ties += 1
+            elif cand < best:
                 best = cand
                 head = cand[n : 3 * n]
-    return tuple(best)
-
-
-def _automorphism_count(flat: Flat, n: int, perms=_build_perms) -> int:
-    """|Aut A| for a canonical flat: the relabelings that ``_canonical_flat``
-    tries and that reproduce it.  Those that reproduce it are Aut A, and
-    each sends a row with the most zeros to row 1, as the canonical row 1
-    has the most, so none is missed."""
-    if n == 1:
-        return 1  # the identity, which fixes 0, is the only relabeling
-    product = _products(flat)
-    table = product[: n * n]
-    head = table[n : 3 * n]
-    count = 0
-    for a in _rows_with_most_zeros(table, n):
-        for prefix, codes, values in perms(n, a):
-            count += (
-                prefix.translate(product).translate(values) == head
-                and codes.translate(product).translate(values) == table
-            )
-    return count
+                ties = 1
+    return best, ties
 
 
 def canonical_form(algebra: BckAlgebra) -> CayleyTable:
@@ -172,7 +164,7 @@ def canonical_form(algebra: BckAlgebra) -> CayleyTable:
             f"canonical_form is factorial in the order (limit "
             f"{_CANONICAL_ORDER_LIMIT}); use find_isomorphism for pairwise tests"
         )
-    flat = _canonical_flat(algebra.table.flat(), n)
+    flat = _canonical_flat(algebra.table.flat(), n)[0]
     return CayleyTable([flat[x * n : (x + 1) * n] for x in range(n)])
 
 
@@ -350,7 +342,7 @@ def _flat_valid(t: list[list[int]]) -> bool:
     return _bck1_holds(_products(chain.from_iterable(t)), n, *codes)
 
 
-def _extensions(base: Rows) -> list[Flat]:
+def _extensions(base: Rows) -> list[bytes]:
     """All valid labeled order-(m+1) tables whose leading block is ``base``
     and whose new element e = m is maximal, with a down-set no larger than
     any other maximal element's.
@@ -387,7 +379,7 @@ def _extensions(base: Rows) -> list[Flat]:
     downs = [col.count(0) for col in zip(*base)]
     maximal = [(u, downs[u]) for u in range(1, m) if base[u].count(0) == 1]
     row = t[e]
-    found: list[Flat] = []
+    found: list[bytes] = []
 
     def fill_column(k: int) -> None:
         if k == len(column):
@@ -406,7 +398,7 @@ def _extensions(base: Rows) -> list[Flat]:
     def fill_row(y: int, values: list[int]) -> None:
         if y == e:
             if _flat_valid(t):
-                found.append(tuple(chain.from_iterable(t)))
+                found.append(bytes(chain.from_iterable(t)))
             return
         for v in values:
             row[y] = v
@@ -418,13 +410,14 @@ def _extensions(base: Rows) -> list[Flat]:
     return found
 
 
-def _extend_and_canonicalize(bases: tuple[Rows, ...]) -> set[Flat]:
+def _extend_and_canonicalize(bases: tuple[Rows, ...]) -> set[bytes]:
     perms = cache(_build_perms)  # one order's table, dropped with the level
-    return {_canonical_flat(f, len(b) + 1, perms) for b in bases for f in _extensions(b)}
+    return {_canonical_flat(f, len(b) + 1, perms)[0] for b in bases for f in _extensions(b)}
 
 
-def _extend_level(bases: tuple[BckAlgebra, ...], jobs: int) -> tuple[Flat, ...]:
-    """Canonical flats of all one-element extensions of ``bases``, sorted.
+def _extend_level(bases: tuple[BckAlgebra, ...], jobs: int) -> tuple[bytes, ...]:
+    """Canonical flats of all one-element extensions of ``bases``, as
+    ``bytes``, sorted.
 
     The bases' rows are sharded over ``jobs`` worker processes when there
     are at least two per worker; the sorted result does not depend on ``jobs``.
@@ -459,11 +452,11 @@ def _level(n: int, jobs: int = 1) -> tuple[BckAlgebra, ...]:
     """
     cached = _LEVEL_CACHE.get(n)
     if cached is None:
-        shared: dict[Flat, Flat] = {}
+        shared: dict[bytes, tuple[int, ...]] = {}
         tables = []
         for flat in _extend_level(_level(n - 1), jobs):
             rows = [flat[x * n : (x + 1) * n] for x in range(n)]
-            tables.append(validate(CayleyTable([shared.setdefault(r, r) for r in rows])))
+            tables.append(validate(CayleyTable([shared.setdefault(r, tuple(r)) for r in rows])))
         cached = _LEVEL_CACHE[n] = tuple(tables)
     return cached
 

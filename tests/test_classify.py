@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from bck import classify, core
 from bck.classify import (
-    _automorphism_count,
     canonical_form,
     degree_census,
     enumerate_algebras,
@@ -112,7 +111,7 @@ def _flat(rows):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_canonical_flat_matches_the_oracle_on_every_valid_table(n):
     for rows in oracle.pruned_valid_tables(n):
-        assert classify._canonical_flat(_flat(rows), n) == _flat(
+        assert tuple(classify._canonical_flat(_flat(rows), n)[0]) == _flat(
             oracle.canonical_flat(rows)
         )
 
@@ -129,7 +128,7 @@ def test_canonical_flat_matches_the_oracle_on_order_seven_extensions():
         extensions += classify._extensions(bases.pop().table.rows)
     for flat in rng.sample(extensions, 40):
         rows = tuple(flat[x * 7 : (x + 1) * 7] for x in range(7))
-        assert classify._canonical_flat(flat, 7) == _flat(oracle.canonical_flat(rows))
+        assert tuple(classify._canonical_flat(flat, 7)[0]) == _flat(oracle.canonical_flat(rows))
 
 
 def test_canonical_form_identifies_the_chain_extension():
@@ -441,7 +440,7 @@ def test_order_seven_level_census_and_worker_counts():
     assert _level_digest(flats) == ORDER_7_DIGEST
     census = degree_census(7, budget=7)
     assert census == {Fraction(k, 49): c for k, c in ORDER_7_CENSUS.items()}
-    assert list(classify._extend_level(classify._level(6), jobs=2)) == flats
+    assert [tuple(f) for f in classify._extend_level(classify._level(6), jobs=2)] == flats
     perms = cache(classify._build_perms)
     assert _mass(7, perms) == _extension_mass(7, perms) == Fraction(1893863, 240)
     # the transfer lemmas, against the naive count: +3 for a top extension,
@@ -468,8 +467,8 @@ def test_order_eight_level_census_minimum_and_worker_counts():
     # CD(8) occurs, and the least, 22/64, once: the chain's class
     algebras = enumerate_algebras(8, budget=8)
     # flats are hashed as they are made, and the jobs=2 pass below is
-    # compared by the same digest, which pins the level: no 78 MiB list of
-    # flats is held beside the level
+    # compared by the same digest, which pins the level: no list of flats
+    # (77 MiB as tuples, by tracemalloc) is held beside the level
     assert len(algebras) == 143866
     assert _level_digest(a.table.flat() for a in algebras) == ORDER_8_DIGEST
     census = degree_census(8, budget=8)
@@ -500,7 +499,7 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
     tables = oracle.pruned_valid_tables(m + 1)
     for base in enumerate_algebras(m):
         rows = base.table.rows
-        found = classify._extensions(rows)
+        found = [tuple(f) for f in classify._extensions(rows)]
         assert len(found) == len(set(found))
         assert set(found) == {
             tuple(v for row in t for v in row)
@@ -512,7 +511,7 @@ def test_extensions_are_exactly_the_valid_tables_over_each_base(m):
 
 def _mass(n, perms):
     """The sum of 1/|Aut A| over the classes A of order n."""
-    return sum(Fraction(1, _automorphism_count(a.table.flat(), n, perms))
+    return sum(Fraction(1, classify._canonical_flat(a.table.flat(), n, perms)[1])
                for a in classify._level(n))
 
 
@@ -526,18 +525,24 @@ def _extension_mass(n, perms):
             Fraction(1, len(_smallest_maximal([e[x * n : (x + 1) * n] for x in range(n)])))
             for e in classify._extensions(base.table.rows)
         )
-        total += weights / _automorphism_count(base.table.flat(), n - 1, perms)
+        total += weights / classify._canonical_flat(base.table.flat(), n - 1, perms)[1]
     return total
 
 
 def test_automorphism_counts_match_the_oracle():
+    # the tie count of ``_canonical_flat`` is |Aut A| on the canonical flat
+    # and on a randomly relabelled copy, which reaches the same minimum
+    rng = random.Random(23)
     perms = cache(classify._build_perms)
     for n in range(1, 7):
         for algebra in classify._level(n):
             rows = algebra.table.rows
-            assert _automorphism_count(algebra.table.flat(), n, perms) == (
-                oracle.automorphism_count(rows)
-            ), rows
+            tail = list(range(1, n))
+            rng.shuffle(tail)
+            shuffled = relabel(algebra.table, (0, *tail))
+            expected = (bytes(algebra.table.flat()), oracle.automorphism_count(rows))
+            for table in (algebra.table, shuffled):
+                assert classify._canonical_flat(table.flat(), n, perms) == expected, rows
 
 
 def test_mass_formula_ties_each_level_to_the_extensions_below_it():
@@ -737,7 +742,7 @@ def test_enumeration_is_deterministic_across_worker_counts():
     bases = classify._level(4)
     parallel = classify._extend_level(bases, jobs=2)
     assert parallel == classify._extend_level(bases, jobs=1)
-    assert [a.table.flat() for a in enumerate_algebras(5)] == list(parallel)
+    assert [a.table.flat() for a in enumerate_algebras(5)] == [tuple(f) for f in parallel]
 
 
 def _fresh_python(code):

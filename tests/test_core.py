@@ -61,6 +61,8 @@ HUGE_SHOWN = "<int of 16610 bits>"
          "entry 'xxxxxxxxxxxxxxxxxxx... (1000002 characters) at (0,0) is not an int"),
         (lambda: classify.relabel(TWO.table, (0, HUGE)), ValueError,
          f"label {HUGE_SHOWN} is not an element of 0..1"),
+        (lambda: classify.relabel(TWO.table, (0,) + (1,) * 10**6), ValueError,
+         "not a permutation of 0..1: (0, 1, 1, 1, 1, 1, 1... (3000003 characters)"),
         (lambda: classify.subalgebra(TWO, (0, HUGE)), ValueError,
          f"label {HUGE_SHOWN} is not an element of 0..1"),
         (lambda: classify.enumerate_algebras(HUGE), ValueError,
@@ -75,8 +77,8 @@ HUGE_SHOWN = "<int of 16610 bits>"
         (lambda: core._check_int("n", Fraction(HUGE, 3)), ValueError,
          "n must be an int, got <Fraction whose repr fails>"),
     ],
-    ids=["entry", "non-int-entry", "relabel", "subalgebra", "budget", "jobs",
-         "unique-minimum", "family-index", "check-int"],
+    ids=["entry", "non-int-entry", "relabel", "relabel-perm", "subalgebra", "budget",
+         "jobs", "unique-minimum", "family-index", "check-int"],
 )
 def test_messages_show_values_that_have_no_repr(call, error, message):
     # each value is shown through ``core._shown``: the message is made, not
